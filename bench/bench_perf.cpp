@@ -65,6 +65,7 @@
 #include <utility>
 #include <vector>
 
+#include "dcdl/common/flags.hpp"
 #include "dcdl/device/host.hpp"
 #include "dcdl/hybrid/hybrid.hpp"
 #include "dcdl/probe/probe.hpp"
@@ -158,13 +159,13 @@ BENCHMARK(BM_EventQueueChurn)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // --json mode: fixed scenario timings as a committed artifact.
 
-/// Everything one timed run yields. Legacy runs fill only `counters`;
-/// sharded runs add the engine's window statistics (counters are summed
-/// over the control plus all shard simulators so slab/heap shapes remain
-/// comparable across engines).
+/// Everything one timed run yields. Runs on a Network add the engine's
+/// window statistics, and their allocation-shape counters are summed over
+/// the control plus all shard simulators so slab/heap shapes remain
+/// comparable across shard counts.
 struct RunOutcome {
   Simulator::Counters counters{};
-  int shards = 0;  ///< 0 = legacy engine
+  int shards = 0;  ///< 0 = no Network (bare scheduler churn)
   std::uint64_t windows = 0;
   std::uint64_t device_passes = 0;
   std::uint64_t stalled_windows = 0;  ///< shard-passes that fired 0 events
@@ -211,12 +212,38 @@ JsonResult measure(const std::string& name, int reps, Body body) {
   return r;
 }
 
+/// The outcome of a run on `net`, driven through its control simulator
+/// `sim`. counters() already folds in the shard simulators' event counts;
+/// the allocation shape is summed here.
+RunOutcome outcome_of(Simulator& sim, Network& net) {
+  RunOutcome out;
+  out.counters = sim.counters();
+  ShardedEngine& eng = net.engine();
+  out.shards = eng.num_shards();
+  const ShardedEngine::Stats& st = eng.stats();
+  out.windows = st.windows;
+  out.device_passes = st.device_passes;
+  out.cross_shard_events = st.cross_shard_events;
+  for (const ShardedEngine::ShardStats& sh : st.shard) {
+    out.shard_events.push_back(sh.executed);
+    out.stalled_windows += sh.idle_windows;
+  }
+  for (int i = 0; i < eng.num_shards(); ++i) {
+    const Simulator::Counters c =
+        eng.shard_sim(static_cast<std::uint32_t>(i)).counters();
+    out.counters.slab_grows += c.slab_grows;
+    out.counters.slab_slots += c.slab_slots;
+    out.counters.heap_high_water += c.heap_high_water;
+  }
+  return out;
+}
+
 RunOutcome run_ring() {
   RingDeadlockParams p;
   Scenario s = make_ring_deadlock(p);
   s.sim->run_until(2_ms);
   benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
+  return outcome_of(*s.sim, *s.net);
 }
 
 RunOutcome run_routing_loop() {
@@ -227,7 +254,7 @@ RunOutcome run_routing_loop() {
   Scenario s = make_routing_loop(p);
   s.sim->run_until(4_ms);
   benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
+  return outcome_of(*s.sim, *s.net);
 }
 
 RunOutcome run_routing_loop_probe() {
@@ -246,7 +273,7 @@ RunOutcome run_routing_loop_probe() {
   rp.finalize();
   benchmark::DoNotOptimize(rp.fct().count());
   benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
+  return outcome_of(*s.sim, *s.net);
 }
 
 RunOutcome run_routing_loop_watch() {
@@ -264,7 +291,7 @@ RunOutcome run_routing_loop_watch() {
   s.sim->run_until(4_ms);
   benchmark::DoNotOptimize(rw.engine().fires(watch::Severity::kWarn));
   benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
+  return outcome_of(*s.sim, *s.net);
 }
 
 RunOutcome run_routing_loop_dp() {
@@ -278,18 +305,17 @@ RunOutcome run_routing_loop_dp() {
   Scenario s = make_routing_loop(p);
   s.sim->run_until(4_ms);
   benchmark::DoNotOptimize(s.net->total_queued_bytes());
-  return RunOutcome{s.sim->counters()};
+  return outcome_of(*s.sim, *s.net);
 }
 
-/// Fat-tree permutation at `shards` shards (0 = legacy engine). The
-/// scenario is identical for every shard count — so are the delivered
-/// streams; only the wall clock and the window statistics differ.
+/// Fat-tree permutation at `shards` shards. The scenario is identical for
+/// every shard count — so are the delivered streams; only the wall clock
+/// and the window statistics differ.
 RunOutcome run_fat_tree(int shards, int k, Time run_for) {
   Simulator sim;
   const topo::FatTreeTopo ft = topo::make_fat_tree(k);
   Topology topo = ft.topo;
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   Network net(sim, topo, NetConfig{});
   req.reset();
   routing::install_shortest_paths(net);
@@ -304,31 +330,7 @@ RunOutcome run_fat_tree(int shards, int k, Time run_for) {
   }
   sim.run_until(run_for);
   benchmark::DoNotOptimize(net.total_queued_bytes());
-
-  RunOutcome out;
-  out.counters = sim.counters();  // executed already includes shard credits
-  if (net.sharded()) {
-    ShardedEngine& eng = net.engine();
-    out.shards = eng.num_shards();
-    const ShardedEngine::Stats& st = eng.stats();
-    out.windows = st.windows;
-    out.device_passes = st.device_passes;
-    out.cross_shard_events = st.cross_shard_events;
-    for (const ShardedEngine::ShardStats& sh : st.shard) {
-      out.shard_events.push_back(sh.executed);
-      out.stalled_windows += sh.idle_windows;
-    }
-    for (int i = 0; i < eng.num_shards(); ++i) {
-      const Simulator::Counters c =
-          eng.shard_sim(static_cast<std::uint32_t>(i)).counters();
-      out.counters.scheduled += c.scheduled;
-      out.counters.cancelled += c.cancelled;
-      out.counters.slab_grows += c.slab_grows;
-      out.counters.slab_slots += c.slab_slots;
-      out.counters.heap_high_water += c.heap_high_water;
-    }
-  }
-  return out;
+  return outcome_of(sim, net);
 }
 
 /// Localized congestion on a k-ary fat-tree: pod 0 runs a greedy intra-pod
@@ -389,7 +391,7 @@ RunOutcome run_fat_tree_localized(int k, Time run_for, hybrid::Mode mode) {
   sim.run_until(run_for);
   benchmark::DoNotOptimize(net.total_queued_bytes());
 
-  RunOutcome out;
+  RunOutcome out = outcome_of(sim, net);
   if (ctl) {
     ctl->finalize();
     out.hybrid = true;
@@ -397,7 +399,6 @@ RunOutcome run_fat_tree_localized(int k, Time run_for, hybrid::Mode mode) {
     out.zoom_events = ctl->stats().zoom_events;
     out.credited_packets = ctl->stats().credited_packets;
   }
-  out.counters = sim.counters();
   return out;
 }
 
@@ -426,7 +427,7 @@ std::vector<JsonResult> run_suite() {
       measure("routing_loop_watch", kReps, run_routing_loop_watch));
   results.push_back(measure("routing_loop_dp", kReps, run_routing_loop_dp));
   results.push_back(measure("fat_tree", kReps,
-                            [] { return run_fat_tree(0, 4, 500_us); }));
+                            [] { return run_fat_tree(1, 4, 500_us); }));
   results.push_back(measure("fat_tree_s2", kReps,
                             [] { return run_fat_tree(2, 4, 500_us); }));
   results.push_back(measure("fat_tree_s4", kReps,
@@ -628,10 +629,8 @@ int run_baseline_mode(const std::string& path) {
 // --shards mode: sharded-scaling probe.
 
 int run_shards_mode(int shards, int k, double sim_ms) {
-  if (shards < 1 || k < 4 || k % 2 != 0 || sim_ms <= 0) {
-    std::fprintf(stderr,
-                 "bench_perf: --shards needs shards >= 1, even k >= 4, "
-                 "ms > 0\n");
+  if (k < 4 || k % 2 != 0 || sim_ms <= 0) {
+    std::fprintf(stderr, "bench_perf: --shards needs even k >= 4, ms > 0\n");
     return 1;
   }
   const Time run_for = Time{static_cast<std::int64_t>(sim_ms * 1e9)};
@@ -679,7 +678,7 @@ int run_hybrid_mode(int k, double sim_ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int shards = 0, k = 16;
+  int k = 16;
   double sim_ms = 1.0;
   bool shards_mode = false, hybrid_mode = false;
   for (int i = 1; i < argc; ++i) {
@@ -698,9 +697,8 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
       return run_baseline_mode(argv[i] + 11);
     }
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
+    if (std::strncmp(argv[i], "--shards", 8) == 0) {
       shards_mode = true;
-      shards = std::atoi(argv[++i]);
       continue;
     }
     if (std::strcmp(argv[i], "--hybrid") == 0) {
@@ -716,7 +714,9 @@ int main(int argc, char** argv) {
       continue;
     }
   }
-  if (shards_mode) return run_shards_mode(shards, k, sim_ms);
+  if (shards_mode) {
+    return run_shards_mode(Flags(argc, argv).shards(), k, sim_ms);
+  }
   if (hybrid_mode) return run_hybrid_mode(k, sim_ms);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

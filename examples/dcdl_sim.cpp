@@ -10,8 +10,8 @@
 //
 // Scenarios: fig1 (ring), loop, fig3, fig4, fig5, transient, valley,
 // incast. Common flags: --run_ms, --seed, --watchdog, --smart_limit,
-// --shards N (run on the sharded conservative engine with N worker
-// threads — every report byte is identical for all N >= 1),
+// --shards N (split the run across N shards, one worker thread each when
+// N >= 2 — every report byte is identical for all N; default 1),
 // --dataplane <off|detect|drop|reroute|pfc_lift> (arm the in-switch DCFIT
 // detection pipeline with the given recovery policy, e.g.
 // `dcdl_sim --scenario=loop --dataplane=reroute`),
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       Time{flags.get_int("probe_us", 100) * 1'000'000};
   const bool watch_live = flags.get_bool("watch", false);
   const bool profile = flags.get_bool("profile", false);
-  const int shards = static_cast<int>(flags.get_int("shards", 0));
+  const int shards = flags.shards();
   const std::string dp_str = flags.get_string("dataplane", "off");
   dataplane::DataplaneConfig dp_cfg;
   if (!dataplane::parse_policy(dp_str, &dp_cfg.policy)) {
@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
     // The request only needs to cover Network construction: the network
     // latches its engine there, and everything downstream (monitors,
     // watchdog, run_and_check) drives it through the run delegate.
-    std::optional<ScopedShardRequest> shard_request;
-    if (shards >= 1) shard_request.emplace(shards);
+    const ScopedShardRequest shard_request(shards);
     if (which == "fig1") {
       RingDeadlockParams p;
       p.dataplane = dp_cfg;
@@ -144,9 +143,8 @@ int main(int argc, char** argv) {
   std::printf("scenario: %s (%zu switches, %zu hosts, %zu flows)\n",
               which.c_str(), s.topo->switches().size(),
               s.topo->hosts().size(), s.flows.size());
-  if (s.net->sharded()) {
-    std::printf("engine: sharded, %d shard(s), %zu cut link(s), "
-                "lookahead %.2f us\n",
+  if (s.net->engine().num_shards() > 1) {
+    std::printf("engine: %d shards, %zu cut link(s), lookahead %.2f us\n",
                 s.net->engine().num_shards(),
                 s.net->shard_plan().cut_links.size(),
                 s.net->engine().lookahead().us());

@@ -14,11 +14,11 @@
 // Flags: --scenario, --grid "a=lo..hi:steps;b=x,y,z", --set "k=v;k2=v2",
 // --seeds, --root_seed, --run_ms, --drain_ms, --dwell_ms, --jobs, --out,
 // --csv, --timeout_ms (0 = off), --timing (include wall-clock in artifacts;
-// breaks byte-stable diffing), --quiet, --shards (worker threads *inside*
-// each run via the sharded conservative engine; artifacts are
-// byte-identical for every --shards >= 1, and shard threads multiply with
-// --jobs — shard wide runs with few jobs, or leave at 0 when the campaign
-// already saturates the cores), --hybrid <off|static|risk> (run every run
+// breaks byte-stable diffing), --quiet, --shards (shards per run, default
+// 1; at N >= 2 each run gets N worker threads; artifacts are byte-identical
+// for every --shards, and shard threads multiply with --jobs — shard wide
+// runs with few jobs, or leave at 1 when the campaign already saturates the
+// cores), --hybrid <off|static|risk> (run every run
 // under the hybrid fluid/packet engine; v4 artifacts carry hybrid_mode /
 // zoom_events / fluid_fraction, and verdicts are identical to --hybrid off
 // by construction).
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const std::int64_t drain_ms = flags.get_int("drain_ms", run_ms + 10);
   const std::int64_t dwell_ms = flags.get_int("dwell_ms", 1);
   const int jobs = flags.jobs();
-  const int shards = static_cast<int>(flags.get_int("shards", 0));
+  const int shards = flags.shards();
   const std::string out_json = flags.out();
   const std::string out_csv = flags.get_string("csv", "");
   const double timeout_ms = flags.get_double("timeout_ms", 0);

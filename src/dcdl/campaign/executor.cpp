@@ -79,8 +79,8 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     // The shard request only needs to cover Network construction — the
     // network latches its engine there; everything after (monitors, guard,
     // run_until) drives it transparently via the run delegate.
-    std::optional<ScopedShardRequest> shard_request;
-    if (opts.shards >= 1) shard_request.emplace(opts.shards);
+    std::optional<ScopedShardRequest> shard_request{std::in_place,
+                                                    opts.shards};
     scenarios::Scenario s = def.make(spec.params);
     shard_request.reset();
     stats::PauseEventLog pauses(*s.net);
@@ -119,10 +119,10 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     }
 
     // Always-on time-series probe: samples at opts.probe_interval on the
-    // externally visible simulator (the control sim under --shards), so the
-    // series are byte-identical across --jobs and --shards >= 1. Its sampler
+    // externally visible simulator (the engine's control sim), so the
+    // series are byte-identical across --jobs and --shards. Its sampler
     // events are part of the canonical stream — events_executed includes
-    // them for every execution mode alike.
+    // them for every shard count alike.
     probe::ProbeOptions probe_opts;
     probe_opts.interval = opts.probe_interval;
     probe_opts.capacity = opts.probe_capacity;
@@ -136,8 +136,7 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
 
     // Always-on early-warning watcher: like the probe, its sampler rides
     // the externally visible simulator, so the alert stream is a pure
-    // function of the scenario for every --jobs x --shards with
-    // shards >= 1.
+    // function of the scenario for every --jobs x --shards.
     watch::RunWatch run_watch(*s.net, s.flows, opts.watch);
 
     // Cooperative guard: a recurring simulator event — always scheduled, so
@@ -172,9 +171,10 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
                                       spec.monitor_dwell);
     // In-band dataplane pipeline capture (schema v3 columns). Every
     // recovery re-arms the centralized monitor so a second deadlock in the
-    // same run is still confirmed. Under --shards the hook fires during
-    // replay at window barriers on the control thread, where re-arming the
-    // monitor (scheduling its next poll) is safe.
+    // same run is still confirmed. The hook fires on the thread driving
+    // the run — inline at one shard, during the barrier replay at two or
+    // more — where re-arming the monitor (scheduling its next poll on the
+    // control simulator) is safe.
     std::optional<Time> dp_first_confirm;
     std::optional<Time> dp_first_recover;
     std::uint64_t dp_confirms = 0;

@@ -33,17 +33,13 @@ struct ExecutorOptions {
   double run_wall_budget_ms = 0;
   /// Simulated-time cadence of the cancellation/timeout guard event.
   Time guard_poll = Time{1'000'000'000};  // 1 ms
-  /// Shards per run: 0 = legacy single-threaded engine; >= 1 = sharded
-  /// conservative engine with (up to) this many worker threads per run.
-  /// Records are byte-identical for every value >= 1 (a --shards 1 run
-  /// exercises the sharded machinery and matches --shards N exactly;
-  /// shards never appear in the campaign JSON). The legacy engine breaks
-  /// same-timestamp ties by insertion order rather than by the canonical
-  /// channel keys, so 0 is its own — equally valid — stream. Composes
+  /// Shards per run (>= 1): at 1 each run executes on its job's thread; at
+  /// S >= 2 on up to S worker threads. Records are byte-identical for every
+  /// value (shards never appear in the campaign JSON). Composes
   /// multiplicatively with `jobs` — a campaign at jobs=J, shards=S runs up
   /// to J*S worker threads, so shard wide runs with few jobs, or keep
-  /// shards=0/1 when the campaign itself saturates the cores.
-  int shards = 0;
+  /// shards=1 when the campaign itself saturates the cores.
+  int shards = 1;
   /// Hybrid fluid/packet engine configuration applied to every run
   /// (mode kOff — the default — is pure packet simulation and leaves the
   /// event stream untouched). When on, each run gets its own
@@ -51,9 +47,9 @@ struct ExecutorOptions {
   /// hybrid_mode / zoom_events / fluid_fraction.
   hybrid::HybridConfig hybrid;
   /// Time-series probe sampling interval (dcdl::probe). The sampler is
-  /// always on: it rides the externally visible simulator (the control sim
-  /// under --shards), so its events land at window barriers and the series
-  /// are byte-identical across --jobs and --shards >= 1. Every ok record
+  /// always on: it rides the externally visible simulator (the engine's
+  /// control sim), so its events land at window barriers and the series
+  /// are byte-identical across --jobs and --shards. Every ok record
   /// carries the probe summary (schema v5); with trace_dir set, each run
   /// additionally writes `run_NNNNN.timeseries.jsonl`.
   Time probe_interval = Time{100'000'000};  // 100 us
@@ -63,7 +59,7 @@ struct ExecutorOptions {
   std::size_t probe_capacity = 1u << 12;
   /// Early-warning watcher configuration (dcdl::watch). Like the probe it
   /// is always on and rides the externally visible simulator, so the alert
-  /// stream is byte-identical across --jobs and --shards >= 1. Every ok
+  /// stream is byte-identical across --jobs and --shards. Every ok
   /// record carries the alert summary (schema v6); with trace_dir set,
   /// each run additionally writes `run_NNNNN.alerts.jsonl`.
   watch::WatchOptions watch;

@@ -64,6 +64,16 @@ int Flags::jobs() {
   return static_cast<int>(n > 0 ? n : 1);
 }
 
+int Flags::shards() {
+  const std::int64_t n = get_int("shards", 1);
+  if (n < 1) {
+    std::fprintf(stderr, "%s: --shards must be >= 1 (got %s)\n",
+                 program_.c_str(), values_.at("shards").c_str());
+    std::exit(2);
+  }
+  return static_cast<int>(n);
+}
+
 std::string Flags::out(const std::string& default_path) {
   return get_string("out", default_path);
 }

@@ -27,6 +27,11 @@ class Flags {
   /// std::thread::hardware_concurrency() (at least 1).
   int jobs();
 
+  /// --shards N: shards per simulation run (worker threads inside one run
+  /// when N >= 2), shared by every bench/CLI entry point that builds
+  /// networks. Defaults to 1; a value below 1 exits with code 2.
+  int shards();
+
   /// --out <path>: result-artifact path shared by every bench/CLI entry
   /// point that writes one; empty = no artifact.
   std::string out(const std::string& default_path = "");

@@ -20,9 +20,8 @@ class Device {
 
   NodeId id() const { return id_; }
 
-  /// This device's local clock. Identical to the network simulator's clock
-  /// in single-threaded runs; in sharded runs it is the owning shard's
-  /// clock, which the engine keeps aligned at every window barrier.
+  /// This device's local clock: the owning shard's clock, which the engine
+  /// keeps aligned at every window barrier.
   Time now() const { return sim_->now(); }
 
   /// A data packet finished arriving on `in_port` (store-and-forward).
@@ -49,18 +48,14 @@ class Device {
 
  protected:
   /// Self-scheduling: timers, transmit-complete callbacks, pause refreshes.
-  /// In sharded runs these go onto the device's own shard under the
-  /// device's private (channel, sequence) key — the key is a pure function
-  /// of this device's deterministic execution, so the global event order
-  /// stays invariant to the shard count. In legacy runs (self_chan_ == 0)
-  /// they use the plain scheduling-order path, bit-identical to history.
-  EventId schedule_at(Time at, EventFn fn) {
-    if (self_chan_ != 0) {
-      return sim_->schedule_keyed(at, self_chan_, ++self_seq_, std::move(fn));
-    }
-    return sim_->schedule_at(at, std::move(fn));
+  /// These go onto the device's own shard under the device's private
+  /// (channel, sequence) key — the key is a pure function of this device's
+  /// deterministic execution, so the global event order stays invariant to
+  /// the shard count.
+  EventId schedule_at(Time at, EventFn&& fn) {
+    return sim_->schedule_keyed(at, self_chan_, ++self_seq_, std::move(fn));
   }
-  EventId schedule_in(Time delay, EventFn fn) {
+  EventId schedule_in(Time delay, EventFn&& fn) {
     return schedule_at(sim_->now() + delay, std::move(fn));
   }
   void cancel_event(EventId id) { sim_->cancel(id); }
@@ -81,9 +76,8 @@ class Device {
 
  private:
   friend class Network;
-  /// Called by the Network right after construction: the simulator this
-  /// device schedules on (the network simulator, or the owning shard's) and
-  /// the device's self-channel (0 = legacy scheduling-order mode).
+  /// Called by the Network right after construction: the owning shard's
+  /// simulator and the device's self-channel.
   void bind_sim(Simulator* sim, std::uint64_t self_chan) {
     sim_ = sim;
     self_chan_ = self_chan;

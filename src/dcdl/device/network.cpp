@@ -24,7 +24,7 @@ const char* to_string(DropReason r) {
 namespace {
 
 // Canonical channel layout (see network.hpp file comment). Channel 0 is the
-// legacy scheduling-order channel and must never be produced here.
+// unkeyed scheduling-order channel and must never be produced here.
 std::uint64_t wire_channel(std::uint32_t link, std::uint32_t dir) {
   return 1 + 2ull * link + dir;
 }
@@ -35,13 +35,34 @@ std::uint64_t self_channel(const Topology& topo, NodeId id) {
   return 1 + 2ull * topo.link_count() + topo.node_count() + id;
 }
 
+/// The conservative horizon: nothing a shard does before time T can affect
+/// another shard before T + lookahead. Wire traffic (data and PFC frames
+/// alike) crosses the cut no faster than the smallest cut-link propagation
+/// delay; out-of-band CNP/RTT feedback — which skips the wire entirely — is
+/// bounded by its configured delay, so it clamps the horizon whenever the
+/// scenario can generate it. One shard has no cut and needs no horizon.
+Time lookahead_of(const topo::ShardPlan& plan, const NetConfig& cfg) {
+  if (plan.num_shards == 1) return Time::max();
+  Time lookahead = plan.min_cut_delay;
+  if (cfg.ecn.enabled || cfg.rtt_feedback) {
+    lookahead = std::min(lookahead, cfg.cnp_feedback_delay);
+  }
+  return lookahead;
+}
+
 }  // namespace
 
 Network::Network(Simulator& sim, const Topology& topo, NetConfig cfg)
-    : sim_(sim), topo_(topo), cfg_(std::move(cfg)) {
+    : sim_(sim),
+      topo_(topo),
+      cfg_(std::move(cfg)),
+      plan_(topo::assign_shards(topo, ScopedShardRequest::active())),
+      engine_(sim, plan_.num_shards, lookahead_of(plan_, cfg_)),
+      wire_seq_(2 * static_cast<std::size_t>(topo.link_count()), 0),
+      oob_seq_(topo.node_count(), 0),
+      host_pkt_seq_(topo.node_count(), 0) {
   DCDL_EXPECTS(cfg_.pfc.xon_bytes <= cfg_.pfc.xoff_bytes);
-  const int requested = ScopedShardRequest::active();
-  if (requested >= 1) init_sharding(requested);
+  if (plan_.num_shards > 1) init_shard_traces();
   devices_.reserve(topo.node_count());
   for (NodeId id = 0; id < topo.node_count(); ++id) {
     if (topo.is_switch(id)) {
@@ -49,42 +70,19 @@ Network::Network(Simulator& sim, const Topology& topo, NetConfig cfg)
     } else {
       devices_.push_back(std::make_unique<Host>(*this, id, cfg_));
     }
-    if (engine_ != nullptr) {
-      devices_.back()->bind_sim(&engine_->shard_sim(plan_.node_shard[id]),
-                                self_channel(topo_, id));
-    } else {
-      devices_.back()->bind_sim(&sim_, /*self_chan=*/0);
-    }
+    devices_.back()->bind_sim(&engine_.shard_sim(plan_.node_shard[id]),
+                              self_channel(topo_, id));
   }
 }
 
 Network::~Network() = default;
 
-void Network::init_sharding(int requested_shards) {
-  plan_ = topo::assign_shards(topo_, requested_shards);
-  Time lookahead = Time::max();
-  if (plan_.num_shards > 1) {
-    // The conservative horizon: nothing a shard does before time T can
-    // affect another shard before T + lookahead. Wire traffic (data and
-    // PFC frames alike) crosses the cut no faster than the smallest
-    // cut-link propagation delay; out-of-band CNP/RTT feedback — which
-    // skips the wire entirely — is bounded by its configured delay, so it
-    // clamps the horizon whenever the scenario can generate it.
-    lookahead = plan_.min_cut_delay;
-    if (cfg_.ecn.enabled || cfg_.rtt_feedback) {
-      lookahead = std::min(lookahead, cfg_.cnp_feedback_delay);
-    }
-    DCDL_EXPECTS(lookahead > Time::zero());
-  }
-  engine_ = std::make_unique<ShardedEngine>(sim_, plan_.num_shards, lookahead);
-  wire_seq_.assign(2 * static_cast<std::size_t>(topo_.link_count()), 0);
-  oob_seq_.assign(topo_.node_count(), 0);
-  host_pkt_seq_.assign(topo_.node_count(), 0);
+void Network::init_shard_traces() {
   shard_traces_.resize(static_cast<std::size_t>(plan_.num_shards));
-  engine_->set_on_worker_start(
+  engine_.set_on_worker_start(
       [this](std::uint32_t s) { tls_trace_ = &shard_traces_[s]; });
-  engine_->set_on_run_start([this] { arm_shard_traces(); });
-  engine_->set_replay(
+  engine_.set_on_run_start([this] { arm_shard_traces(); });
+  engine_.set_replay(
       [this](const ShardedEngine::TraceRec& rec) { replay_record(rec); });
 }
 
@@ -95,7 +93,7 @@ Trace& Network::trace() {
 ShardedEngine::TraceRec Network::make_rec(std::uint32_t shard,
                                           ShardedEngine::RecKind kind,
                                           Time at) {
-  Simulator& sm = engine_->shard_sim(shard);
+  Simulator& sm = engine_.shard_sim(shard);
   ShardedEngine::TraceRec rec;
   rec.at = at;
   rec.chan = sm.current_chan();
@@ -117,7 +115,7 @@ void Network::arm_shard_traces() {
         rec.port = p;
         rec.cls = c;
         rec.flag = paused ? 1 : 0;
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.pfc_state = nullptr;
@@ -131,7 +129,7 @@ void Network::arm_shard_traces() {
         rec.port = p;
         rec.cls = c;
         rec.value = bytes;
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.queue_bytes = nullptr;
@@ -141,7 +139,7 @@ void Network::arm_shard_traces() {
         ShardedEngine::TraceRec rec =
             make_rec(s, ShardedEngine::RecKind::kDelivered, t);
         rec.pkt = pkt;
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.delivered = nullptr;
@@ -154,7 +152,7 @@ void Network::arm_shard_traces() {
         rec.pkt = pkt;
         rec.node = n;
         rec.flag = static_cast<std::uint8_t>(r);
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.dropped = nullptr;
@@ -166,7 +164,7 @@ void Network::arm_shard_traces() {
         rec.pkt = pkt;
         rec.node = n;
         rec.port = p;
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.tx_start = nullptr;
@@ -176,7 +174,7 @@ void Network::arm_shard_traces() {
         ShardedEngine::TraceRec rec =
             make_rec(s, ShardedEngine::RecKind::kCnp, t);
         rec.flow = f;
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.cnp = nullptr;
@@ -190,7 +188,7 @@ void Network::arm_shard_traces() {
         rec.port = p;
         rec.cls = c;
         rec.value = waited.ps();
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.hop_wait = nullptr;
@@ -204,7 +202,7 @@ void Network::arm_shard_traces() {
         rec.cls = c;
         rec.flag = static_cast<std::uint8_t>(e);
         rec.value = static_cast<std::int64_t>(detail);
-        engine_->push_record(s, rec);
+        engine_.push_record(s, rec);
       };
     } else {
       st.dataplane = nullptr;
@@ -271,19 +269,13 @@ void Network::transmit(NodeId from, PortId port, Packet pkt) {
   DCDL_ASSERT(pp.peer_node < devices_.size());
   Device* peer = devices_[pp.peer_node].get();
   const PortId peer_port = pp.peer_port;
-  if (engine_ != nullptr) {
-    const std::uint32_t dir = from == link.a ? 0u : 1u;
-    const Time at = device_sim(from).now() + ser + link.delay;
-    engine_->post(plan_.node_shard[pp.peer_node], at,
-                  wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
-                  [peer, peer_port, pkt]() mutable {
-                    peer->on_receive(peer_port, pkt);
-                  });
-    return;
-  }
-  sim_.schedule_in(ser + link.delay, [peer, peer_port, pkt]() mutable {
-    peer->on_receive(peer_port, pkt);
-  });
+  const std::uint32_t dir = from == link.a ? 0u : 1u;
+  const Time at = devices_[from]->now() + ser + link.delay;
+  engine_.post(plan_.node_shard[pp.peer_node], at, wire_channel(pp.link, dir),
+               ++wire_seq_[2 * pp.link + dir],
+               [peer, peer_port, pkt]() mutable {
+                 peer->on_receive(peer_port, pkt);
+               });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause) {
@@ -293,22 +285,15 @@ void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause) {
   DCDL_ASSERT(pp.peer_node < devices_.size());
   Device* peer = devices_[pp.peer_node].get();
   const PortId peer_port = pp.peer_port;
-  if (engine_ != nullptr) {
-    // PFC frames share the wire channel (and its sequence space) with data:
-    // both are emissions of the same directed link, keyed in the order the
-    // sending device produced them.
-    const std::uint32_t dir = from == link.a ? 0u : 1u;
-    const Time at = device_sim(from).now() + ser + link.delay;
-    engine_->post(plan_.node_shard[pp.peer_node], at,
-                  wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
-                  [peer, peer_port, cls, pause] {
-                    peer->on_pfc(peer_port, cls, pause);
-                  });
-    return;
-  }
-  sim_.schedule_in(ser + link.delay, [peer, peer_port, cls, pause] {
-    peer->on_pfc(peer_port, cls, pause);
-  });
+  // PFC frames share the wire channel (and its sequence space) with data:
+  // both are emissions of the same directed link, keyed in the order the
+  // sending device produced them.
+  const std::uint32_t dir = from == link.a ? 0u : 1u;
+  const Time at = devices_[from]->now() + ser + link.delay;
+  engine_.post(plan_.node_shard[pp.peer_node], at, wire_channel(pp.link, dir),
+               ++wire_seq_[2 * pp.link + dir], [peer, peer_port, cls, pause] {
+                 peer->on_pfc(peer_port, cls, pause);
+               });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause,
@@ -323,53 +308,34 @@ void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause,
   const Time ser = serialization_time(cfg_.pfc.control_frame_bytes, link.rate);
   auto* peer = static_cast<Switch*>(devices_[pp.peer_node].get());
   const PortId peer_port = pp.peer_port;
-  if (engine_ != nullptr) {
-    const std::uint32_t dir = from == link.a ? 0u : 1u;
-    const Time at = device_sim(from).now() + ser + link.delay;
-    engine_->post(plan_.node_shard[pp.peer_node], at,
-                  wire_channel(pp.link, dir), ++wire_seq_[2 * pp.link + dir],
-                  [peer, peer_port, cls, pause, tag] {
-                    peer->on_pfc_tagged(peer_port, cls, pause, tag);
-                  });
-    return;
-  }
-  sim_.schedule_in(ser + link.delay, [peer, peer_port, cls, pause, tag] {
-    peer->on_pfc_tagged(peer_port, cls, pause, tag);
-  });
+  const std::uint32_t dir = from == link.a ? 0u : 1u;
+  const Time at = devices_[from]->now() + ser + link.delay;
+  engine_.post(plan_.node_shard[pp.peer_node], at, wire_channel(pp.link, dir),
+               ++wire_seq_[2 * pp.link + dir],
+               [peer, peer_port, cls, pause, tag] {
+                 peer->on_pfc_tagged(peer_port, cls, pause, tag);
+               });
 }
 
 void Network::send_cnp(NodeId from, FlowId flow, NodeId src_host) {
   DCDL_EXPECTS(topo_.is_host(src_host));
-  if (engine_ != nullptr) {
-    const Time at = device_sim(from).now() + cfg_.cnp_feedback_delay;
-    engine_->post(plan_.node_shard[src_host], at, oob_channel(topo_, from),
-                  ++oob_seq_[from], [this, flow, src_host] {
-                    Trace& tr = trace();
-                    if (tr.cnp) tr.cnp(device(src_host).now(), flow);
-                    host_at(src_host).on_cnp(flow);
-                  });
-    return;
-  }
-  sim_.schedule_in(cfg_.cnp_feedback_delay, [this, flow, src_host] {
-    if (trace_.cnp) trace_.cnp(sim_.now(), flow);
-    host_at(src_host).on_cnp(flow);
-  });
+  const Time at = devices_[from]->now() + cfg_.cnp_feedback_delay;
+  engine_.post(plan_.node_shard[src_host], at, oob_channel(topo_, from),
+               ++oob_seq_[from], [this, flow, src_host] {
+                 Trace& tr = trace();
+                 if (tr.cnp) tr.cnp(device(src_host).now(), flow);
+                 host_at(src_host).on_cnp(flow);
+               });
 }
 
 void Network::send_rtt_sample(NodeId from, FlowId flow, NodeId src_host,
                               Time rtt) {
   DCDL_EXPECTS(topo_.is_host(src_host));
-  if (engine_ != nullptr) {
-    const Time at = device_sim(from).now() + cfg_.cnp_feedback_delay;
-    engine_->post(plan_.node_shard[src_host], at, oob_channel(topo_, from),
-                  ++oob_seq_[from], [this, flow, src_host, rtt] {
-                    host_at(src_host).on_rtt(flow, rtt);
-                  });
-    return;
-  }
-  sim_.schedule_in(cfg_.cnp_feedback_delay, [this, flow, src_host, rtt] {
-    host_at(src_host).on_rtt(flow, rtt);
-  });
+  const Time at = devices_[from]->now() + cfg_.cnp_feedback_delay;
+  engine_.post(plan_.node_shard[src_host], at, oob_channel(topo_, from),
+               ++oob_seq_[from], [this, flow, src_host, rtt] {
+                 host_at(src_host).on_rtt(flow, rtt);
+               });
 }
 
 void Network::notify_routes_changed(NodeId sw) {

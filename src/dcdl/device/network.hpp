@@ -2,13 +2,13 @@
 // and PFC frames across wires, and exposes global introspection used by the
 // analysis and statistics layers.
 //
-// Sharded mode: when a ScopedShardRequest is active on the constructing
-// thread, the Network partitions the topology (topo/partition.hpp), builds a
-// ShardedEngine whose lookahead is the minimum cut-link delay (clamped by
-// the out-of-band feedback delay when ECN/TIMELY is enabled), binds every
-// device to its shard's simulator, and routes cross-shard wire/PFC/feedback
-// events through the engine's mailboxes under canonical (time, channel,
-// sequence) keys:
+// Engine: the Network partitions the topology into as many shards as the
+// constructing thread's ScopedShardRequest asks for (1 by default;
+// topo/partition.hpp), builds a ShardedEngine whose lookahead is the minimum
+// cut-link delay (clamped by the out-of-band feedback delay when ECN/TIMELY
+// is enabled), binds every device to its shard's simulator, and posts every
+// wire/PFC/feedback event through the engine under a canonical (time,
+// channel, sequence) key:
 //
 //   wire channels  1 + 2*link + dir        seq: per directed link
 //   oob channels   1 + 2L + sender          seq: per sending node
@@ -44,8 +44,8 @@ class Host;
 class Network {
  public:
   /// Builds one device per topology node. The topology and simulator must
-  /// outlive the network. Constructing under a ScopedShardRequest opts the
-  /// network into sharded execution (see file comment).
+  /// outlive the network. A ScopedShardRequest active on the constructing
+  /// thread sets the shard count (see file comment).
   Network(Simulator& sim, const Topology& topo, NetConfig cfg);
   ~Network();
   Network(const Network&) = delete;
@@ -55,18 +55,16 @@ class Network {
   const Topology& topo() const { return topo_; }
   const NetConfig& config() const { return cfg_; }
 
-  /// The observation hooks. On shard worker threads this returns the
-  /// shard's buffering trace (records tagged with the executing event's
+  /// The observation hooks. On shard worker threads (K >= 2) this returns
+  /// the shard's buffering trace (records tagged with the executing event's
   /// key, merged and replayed globally ordered at each window barrier);
-  /// everywhere else — attachment sites, legacy runs, control phases — the
-  /// real hook set.
+  /// everywhere else — attachment sites, one-shard runs, control phases —
+  /// the real hook set.
   Trace& trace();
 
-  /// True when this network runs on the sharded engine.
-  bool sharded() const { return engine_ != nullptr; }
-  /// The sharded engine (sharded() must be true) — bench/tests introspect
-  /// window and mailbox statistics through this.
-  ShardedEngine& engine() { return *engine_; }
+  /// The engine — bench/tests introspect window and mailbox statistics
+  /// through this.
+  ShardedEngine& engine() { return engine_; }
   const topo::ShardPlan& shard_plan() const { return plan_; }
 
   Device& device(NodeId id) { return *devices_.at(id); }
@@ -112,15 +110,10 @@ class Network {
   /// packets (used by the BGP / SDN-update substrates).
   void notify_routes_changed(NodeId sw);
 
-  /// Fresh packet id for a packet injected by `src`. Sharded runs draw from
-  /// a per-host namespace (single writer per shard, and invariant to the
-  /// shard count); legacy runs keep the historical global counter.
+  /// Fresh packet id for a packet injected by `src`, drawn from a per-host
+  /// namespace (single writer per shard, and invariant to the shard count).
   std::uint64_t next_packet_id(NodeId src) {
-    if (engine_ != nullptr) {
-      return (static_cast<std::uint64_t>(src + 1) << 40) |
-             ++host_pkt_seq_[src];
-    }
-    return ++packet_id_;
+    return (static_cast<std::uint64_t>(src + 1) << 40) | ++host_pkt_seq_[src];
   }
 
   /// Total bytes buffered across all switch ingress queues. After all flows
@@ -133,7 +126,8 @@ class Network {
   std::uint64_t drops(DropReason reason) const;
 
  private:
-  void init_sharding(int requested_shards);
+  /// K >= 2: wires the per-shard buffering traces and their replay.
+  void init_shard_traces();
   /// (Re)installs per-shard buffering hooks mirroring whatever is attached
   /// to the real trace — invoked by the engine at the start of every run.
   void arm_shard_traces();
@@ -141,31 +135,25 @@ class Network {
   void replay_record(const ShardedEngine::TraceRec& rec);
   ShardedEngine::TraceRec make_rec(std::uint32_t shard,
                                    ShardedEngine::RecKind kind, Time at);
-  Simulator& device_sim(NodeId id) {
-    return engine_ != nullptr ? engine_->shard_sim(plan_.node_shard[id])
-                              : sim_;
-  }
 
   Simulator& sim_;
   const Topology& topo_;
   NetConfig cfg_;
   Trace trace_;
 
-  // Sharded-mode state. engine_ is declared before devices_ so worker
-  // threads are joined after devices are gone only via ~Network's explicit
-  // member order: devices never run once the coordinator stops driving
-  // windows, so either order is safe; engine-first keeps the plan and seq
-  // tables alive for the engine's entire lifetime.
+  // Engine state. engine_ is declared before devices_, so devices are
+  // destroyed first: they never run once the coordinator stops driving
+  // windows, and engine-first keeps the plan and seq tables alive for the
+  // engine's entire lifetime.
   topo::ShardPlan plan_;
-  std::unique_ptr<ShardedEngine> engine_;
-  std::vector<Trace> shard_traces_;          ///< buffering hooks, per shard
+  ShardedEngine engine_;
+  std::vector<Trace> shard_traces_;          ///< buffering hooks (K >= 2)
   std::vector<std::uint64_t> wire_seq_;      ///< per directed link (2L)
   std::vector<std::uint64_t> oob_seq_;       ///< per sending node
   std::vector<std::uint64_t> host_pkt_seq_;  ///< per source host
   static thread_local Trace* tls_trace_;     ///< shard workers' redirection
 
   std::vector<std::unique_ptr<Device>> devices_;
-  std::uint64_t packet_id_ = 0;
 };
 
 }  // namespace dcdl

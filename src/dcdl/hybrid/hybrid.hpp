@@ -40,8 +40,8 @@
 // any of its ingress counters crosses zoom_xoff_fraction * Xoff or when
 // risk analysis pins a dependency cycle through it; it de-escalates after
 // its counters have stayed below Xon for a cooldown. All controller work
-// runs as control-simulator events (on sharded runs these fire at window
-// barriers where devices are frozen), so escalation decisions — and with
+// runs as control-simulator events (these fire at window barriers where
+// devices are frozen), so escalation decisions — and with
 // them every observable byte — are identical across --jobs and --shards.
 #pragma once
 

@@ -1,32 +1,15 @@
 #include "dcdl/probe/export.hpp"
 
 #include <cstdint>
-#include <vector>
 
 #include "dcdl/campaign/param.hpp"
 
 namespace dcdl::probe {
 
-namespace {
-
 using campaign::format_double;
 
-/// Indices of the series that go into an export.
-std::vector<std::uint32_t> exported_series(const SeriesStore& s,
-                                           const TimeseriesOptions& opts) {
-  std::vector<std::uint32_t> ids;
-  for (std::uint32_t i = 0; i < s.num_series(); ++i) {
-    if (s.deterministic(i) || opts.include_engine_series) ids.push_back(i);
-  }
-  return ids;
-}
-
-}  // namespace
-
-std::string to_timeseries_jsonl(const RunProbe& probe,
-                                const TimeseriesOptions& opts) {
+std::string to_timeseries_jsonl(const RunProbe& probe) {
   const SeriesStore& s = probe.series();
-  const std::vector<std::uint32_t> ids = exported_series(s, opts);
 
   std::string out;
   out += "{\"schema\":\"";
@@ -36,18 +19,18 @@ std::string to_timeseries_jsonl(const RunProbe& probe,
   out += ",\"ticks\":" + std::to_string(s.ticks());
   out += ",\"dropped_ticks\":" + std::to_string(s.dropped_ticks());
   out += ",\"series\":[";
-  for (std::size_t i = 0; i < ids.size(); ++i) {
+  for (std::uint32_t i = 0; i < s.num_series(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + s.name(ids[i]) + "\"";
+    out += "\"" + s.name(i) + "\"";
   }
   out += "]}\n";
 
   for (std::size_t k = 0; k < s.ticks(); ++k) {
     out += "{\"t_ps\":" + std::to_string(s.tick_time(k).ps());
     out += ",\"v\":[";
-    for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::uint32_t i = 0; i < s.num_series(); ++i) {
       if (i != 0) out += ",";
-      out += format_double(s.value(k, ids[i]));
+      out += format_double(s.value(k, i));
     }
     out += "]}\n";
   }
@@ -76,10 +59,8 @@ std::string to_timeseries_jsonl(const RunProbe& probe,
   return out;
 }
 
-std::string to_perfetto_counters(const RunProbe& probe,
-                                 const TimeseriesOptions& opts) {
+std::string to_perfetto_counters(const RunProbe& probe) {
   const SeriesStore& s = probe.series();
-  const std::vector<std::uint32_t> ids = exported_series(s, opts);
   // A pid well clear of the telemetry exporter's per-node process ids.
   constexpr int kPid = 900000;
 
@@ -94,7 +75,7 @@ std::string to_perfetto_counters(const RunProbe& probe,
        ",\"name\":\"process_name\",\"args\":{\"name\":\"probe\"}}");
   for (std::size_t k = 0; k < s.ticks(); ++k) {
     const std::int64_t ts_us = s.tick_time(k).ps() / 1'000'000;
-    for (const std::uint32_t id : ids) {
+    for (std::uint32_t id = 0; id < s.num_series(); ++id) {
       emit("{\"ph\":\"C\",\"pid\":" + std::to_string(kPid) +
            ",\"ts\":" + std::to_string(ts_us) + ",\"name\":\"" + s.name(id) +
            "\",\"args\":{\"v\":" + format_double(s.value(k, id)) + "}}");

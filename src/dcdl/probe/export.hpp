@@ -4,9 +4,7 @@
 //     series directory), one row object per retained tick, then one object
 //     per histogram with exact count/sum/min/max, bounded-error
 //     p50/p90/p99/p999, and the non-empty (upper_edge, count) bucket list.
-//     Only series flagged deterministic are written unless
-//     `include_engine_series` is set, so the artifact is byte-identical
-//     across --jobs x --shards within each engine identity class.
+//     The artifact is byte-identical across --jobs x --shards.
 //
 //   * Perfetto counter tracks: a standalone trace-event JSON with one "C"
 //     event per series per tick under a synthetic "probe" process, ready
@@ -25,18 +23,9 @@ namespace dcdl::probe {
 
 inline constexpr const char* kTimeseriesSchema = "dcdl.timeseries.v1";
 
-struct TimeseriesOptions {
-  /// Include series flagged non-deterministic (engine window/stall
-  /// counts). Off for golden artifacts.
-  bool include_engine_series = false;
-};
+std::string to_timeseries_jsonl(const RunProbe& probe);
 
-std::string to_timeseries_jsonl(const RunProbe& probe,
-                                const TimeseriesOptions& opts = {});
-
-/// Perfetto counter tracks for the sampled series (deterministic series
-/// only unless opts says otherwise).
-std::string to_perfetto_counters(const RunProbe& probe,
-                                 const TimeseriesOptions& opts = {});
+/// Perfetto counter tracks for the sampled series.
+std::string to_perfetto_counters(const RunProbe& probe);
 
 }  // namespace dcdl::probe

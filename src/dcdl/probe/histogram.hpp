@@ -11,8 +11,8 @@
 //
 // record() is O(1) (a count-leading-zeros and two array increments) and is
 // cheap enough to sit on trace-hook paths: the probe layer feeds it from
-// delivered / hop-wait / PFC observers, which in sharded runs fire on the
-// coordinator thread during record replay.
+// delivered / hop-wait / PFC observers, which at two or more shards fire on
+// the coordinator thread during record replay.
 #pragma once
 
 #include <bit>

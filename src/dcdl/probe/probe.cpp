@@ -119,10 +119,9 @@ void RunProbe::attach_hooks() {
       });
 }
 
-void RunProbe::add_gauge_series(std::string name, std::function<double()> fn,
-                                bool deterministic) {
-  gauges_.push_back(
-      CustomGauge{series_.add(std::move(name), deterministic), std::move(fn)});
+void RunProbe::add_gauge_series(std::string name,
+                                std::function<double()> fn) {
+  gauges_.push_back(CustomGauge{series_.add(std::move(name)), std::move(fn)});
 }
 
 void RunProbe::start(Simulator& sim, Time until) {
@@ -140,12 +139,6 @@ void RunProbe::start(Simulator& sim, Time until) {
     for (PortId p = 0; p < topo.degree(node); ++p) {
       last_tx_bytes_[c++] = net_.device(node).tx_byte_count(p);
     }
-  }
-  if (net_.sharded() && opts_.engine_series) {
-    engine_windows_id_ = series_.add("engine.windows", /*deterministic=*/false);
-    engine_stalls_id_ =
-        series_.add("engine.window_stalls", /*deterministic=*/false);
-    has_engine_series_ = true;
   }
   sampler_ = std::make_unique<IntervalSampler>(
       sim, opts_.interval, [this](Time t) { tick(t); });
@@ -199,18 +192,6 @@ void RunProbe::tick(Time t) {
   series_.set(util_max_id_, util_max);
 
   for (const CustomGauge& g : gauges_) series_.set(g.id, g.fn());
-
-  if (has_engine_series_) {
-    const ShardedEngine::Stats& st = net_.engine().stats();
-    std::uint64_t stalls = 0;
-    for (const auto& sh : st.shard) stalls += sh.idle_windows;
-    series_.set(engine_windows_id_,
-                static_cast<double>(st.windows - last_windows_));
-    series_.set(engine_stalls_id_,
-                static_cast<double>(stalls - last_stalls_));
-    last_windows_ = st.windows;
-    last_stalls_ = stalls;
-  }
 
   delivered_bytes_tick_ = 0;
   last_drops_ = drops_now;

@@ -3,14 +3,13 @@
 // RunProbe bundles three instruments over one run:
 //
 //   * An IntervalSampler (default 100 us, configurable) scheduled on the
-//     scenario's externally visible simulator. In sharded runs that is the
-//     control simulator, whose events execute at window barriers after all
-//     device records up to the barrier have been replayed in globally
-//     merged (time, channel, sequence) order — so every sampled value is a
-//     pure function of the scenario, and the resulting series are
-//     byte-identical across --jobs x --shards for every shard count >= 1
-//     (legacy --shards 0 keeps its own identity class, exactly like the
-//     trace artifacts). Samples land in a ring-buffered SeriesStore.
+//     scenario's externally visible simulator — the engine's control
+//     simulator, whose events execute at window barriers after every
+//     device observation up to the barrier has reached the hooks in
+//     (time, channel, sequence) order — so every sampled value is a pure
+//     function of the scenario, and the resulting series are
+//     byte-identical across --jobs x --shards. Samples land in a
+//     ring-buffered SeriesStore.
 //
 //   * Log-bucketed LogHistograms fed from trace hooks: flow completion
 //     time, per-packet sojourn, per-hop queuing delay (the new
@@ -54,14 +53,10 @@ struct ProbeOptions {
   /// at most this many directed channels; larger fabrics keep the
   /// aggregate `util.max` series only, so artifact width stays bounded.
   std::size_t max_util_series = 128;
-  /// Sample sharded-engine window/stall counters. These depend on the
-  /// shard plan, so the series are flagged non-deterministic and excluded
-  /// from golden artifacts.
-  bool engine_series = true;
 };
 
 /// One recurring sim-time callback: fires at now + interval, re-arming
-/// itself until `until` (inclusive). Scheduling on a sharded run's control
+/// itself until `until` (inclusive). Scheduling on a network's control
 /// simulator makes each firing a window-barrier control event.
 class IntervalSampler {
  public:
@@ -99,8 +94,7 @@ class RunProbe {
 
   /// Registers an extra gauge sampled at every tick (e.g. the hybrid
   /// engine's fluid fraction). Call before start().
-  void add_gauge_series(std::string name, std::function<double()> fn,
-                        bool deterministic = true);
+  void add_gauge_series(std::string name, std::function<double()> fn);
 
   /// Schedules the sampler on `sim`: ticks at now + k*interval up to and
   /// including `until`.
@@ -167,11 +161,6 @@ class RunProbe {
     std::function<double()> fn;
   };
   std::vector<CustomGauge> gauges_;
-  std::uint32_t engine_windows_id_ = 0;
-  std::uint32_t engine_stalls_id_ = 0;
-  bool has_engine_series_ = false;
-  std::uint64_t last_windows_ = 0;
-  std::uint64_t last_stalls_ = 0;
 
   // Per-channel (node, egress port) accounting. Utilization diffs the
   // devices' cumulative tx-byte counters at each tick.

@@ -32,12 +32,12 @@ namespace dcdl::probe {
 class Profiler {
  public:
   enum class Span : std::uint8_t {
-    kEventLoop = 0,     ///< Simulator::run_until / run drain loops
-    kDevicePass = 1,    ///< sharded: coordinator view of one device window
-    kBarrierWait = 2,   ///< sharded: coordinator blocked on window barriers
-    kMailboxes = 3,     ///< sharded: cross-shard mailbox drain
-    kReplay = 4,        ///< sharded: merged trace-record replay
-    kControlPhase = 5,  ///< sharded: control-simulator drain at a barrier
+    kEventLoop = 0,     ///< Simulator::run_until / run, one-shard windows
+    kDevicePass = 1,    ///< K >= 2: coordinator view of one device window
+    kBarrierWait = 2,   ///< K >= 2: coordinator blocked on window barriers
+    kMailboxes = 3,     ///< K >= 2: cross-shard mailbox drain
+    kReplay = 4,        ///< K >= 2: merged trace-record replay
+    kControlPhase = 5,  ///< control-simulator drain at a barrier
     kFluidStep = 6,     ///< hybrid: fluid-model integration step
     kDataplane = 7,     ///< dataplane: tag/verdict/recovery resolution
   };

@@ -6,12 +6,9 @@
 // layout is frozen and every write is an indexed store into preallocated
 // storage — the sampler never allocates during a run.
 //
-// Series carry a `deterministic` flag: deterministic series are pure
-// functions of the scenario (queue bytes, pause counts, utilization) and
-// land in exported artifacts that must be byte-identical across
-// --jobs x --shards; non-deterministic ones (engine window/stall counts,
-// which depend on the shard plan) are retained for interactive inspection
-// but excluded from golden artifacts by default.
+// Every series is a pure function of the scenario (queue bytes, pause
+// counts, utilization), so exported artifacts are byte-identical across
+// --jobs x --shards.
 #pragma once
 
 #include <cassert>
@@ -29,16 +26,14 @@ class SeriesStore {
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   /// Registers a series; must be called before the first begin_tick.
-  std::uint32_t add(std::string name, bool deterministic = true) {
+  std::uint32_t add(std::string name) {
     assert(total_ticks_ == 0 && "series layout is frozen after the first tick");
     names_.push_back(std::move(name));
-    deterministic_.push_back(deterministic);
     return static_cast<std::uint32_t>(names_.size() - 1);
   }
 
   std::size_t num_series() const { return names_.size(); }
   const std::string& name(std::uint32_t id) const { return names_[id]; }
-  bool deterministic(std::uint32_t id) const { return deterministic_[id]; }
 
   /// Opens the row for time `t` (zero-filled); evicts the oldest row when
   /// the ring is full. First call freezes the series layout.
@@ -97,7 +92,6 @@ class SeriesStore {
 
   std::size_t capacity_;
   std::vector<std::string> names_;
-  std::vector<bool> deterministic_;
   std::vector<Time> times_;    ///< ring, capacity_ entries
   std::vector<double> values_; ///< ring, capacity_ * num_series entries
   std::size_t cur_ = 0;

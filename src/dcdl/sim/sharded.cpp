@@ -9,7 +9,9 @@ namespace dcdl {
 
 namespace {
 
-thread_local int tls_shard_request = 0;
+thread_local int tls_shard_request = 1;
+/// Shard owned by the calling thread; -1 off worker threads (coordinator,
+/// setup, control phases).
 thread_local int tls_worker_shard = -1;
 
 Time saturating_add(Time a, Time b) {
@@ -21,14 +23,13 @@ Time saturating_add(Time a, Time b) {
 }  // namespace
 
 ScopedShardRequest::ScopedShardRequest(int shards) : prev_(tls_shard_request) {
+  DCDL_EXPECTS(shards >= 1);
   tls_shard_request = shards;
 }
 
 ScopedShardRequest::~ScopedShardRequest() { tls_shard_request = prev_; }
 
 int ScopedShardRequest::active() { return tls_shard_request; }
-
-int ShardedEngine::current_worker_shard() { return tls_worker_shard; }
 
 ShardedEngine::ShardedEngine(Simulator& control, int num_shards,
                              Time lookahead)
@@ -40,11 +41,15 @@ ShardedEngine::ShardedEngine(Simulator& control, int num_shards,
     shards_.push_back(std::make_unique<Simulator>());
   }
   const std::size_t k = static_cast<std::size_t>(num_shards);
-  mail_.resize(k * k);
-  records_.resize(k);
-  merge_cursor_.resize(k);
-  round_executed_.assign(k, 0);
   stats_.shard.resize(k);
+  if (k == 1) {
+    single_ = shards_[0].get();
+  } else {
+    mail_.resize(k * k);
+    records_.resize(k);
+    merge_cursor_.resize(k);
+    round_executed_.assign(k, 0);
+  }
   ctl_->set_run_delegate(this);
 }
 
@@ -58,7 +63,7 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::ensure_workers() {
-  if (workers_started_) return;
+  if (workers_started_ || single_ != nullptr) return;
   workers_started_ = true;
   const std::ptrdiff_t parties = num_shards() + 1;  // workers + coordinator
   start_gate_.emplace(parties);
@@ -81,8 +86,9 @@ void ShardedEngine::worker_main(std::uint32_t shard) {
   }
 }
 
-void ShardedEngine::post(std::uint32_t dst_shard, Time at, std::uint64_t chan,
-                         std::uint64_t seq, EventFn fn) {
+void ShardedEngine::post_across(std::uint32_t dst_shard, Time at,
+                                std::uint64_t chan, std::uint64_t seq,
+                                EventFn&& fn) {
   const int from = tls_worker_shard;
   if (from < 0 || from == static_cast<int>(dst_shard)) {
     // Same shard, coordinator, or setup code: the destination simulator is
@@ -156,6 +162,17 @@ void ShardedEngine::replay_records() {
 }
 
 void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
+  stats_.device_passes++;
+  if (single_ != nullptr) {
+    // One shard: the window runs right here, and its trace hooks already
+    // fired from the events themselves, in key order.
+    probe::Profiler::Scope span(probe::Profiler::Span::kEventLoop);
+    const std::uint64_t n = single_->run_keyed_window(limit_at, limit_chan);
+    span.add_units(n);
+    stats_.shard[0].executed += n;
+    if (n == 0) stats_.shard[0].idle_windows++;
+    return;
+  }
   probe::Profiler::Scope pass(probe::Profiler::Span::kDevicePass);
   round_at_ = limit_at;
   round_chan_ = limit_chan;
@@ -172,9 +189,7 @@ void ShardedEngine::device_pass(Time limit_at, std::uint64_t limit_chan) {
     stats_.shard[s].executed += round_executed_[s];
     if (round_executed_[s] == 0) stats_.shard[s].idle_windows++;
   }
-  ctl_->credit_external_events(total);
   pass.add_units(total);
-  stats_.device_passes++;
   drain_mailboxes();
   replay_records();
 }
@@ -245,5 +260,15 @@ bool ShardedEngine::run_until(Time deadline) {
 }
 
 void ShardedEngine::run_all() { run_core(Time::max()); }
+
+void ShardedEngine::add_event_counts(Simulator::Counters& c) const {
+  for (const std::unique_ptr<Simulator>& s : shards_) {
+    const Simulator::Counters sc = s->counters();
+    c.scheduled += sc.scheduled;
+    c.executed += sc.executed;
+    c.cancelled += sc.cancelled;
+    c.pending += sc.pending;
+  }
+}
 
 }  // namespace dcdl

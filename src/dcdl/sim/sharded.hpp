@@ -1,8 +1,8 @@
-// Sharded conservative parallel discrete-event engine.
+// Sharded conservative parallel discrete-event engine — the one engine
+// every Network runs on.
 //
-// One simulation run executes across N worker threads, each owning a
-// Simulator for one topology shard, coordinated by conservative time
-// windows:
+// One simulation run executes across K shards (K >= 1), each a Simulator
+// owning one topology shard, coordinated by conservative time windows:
 //
 //   window protocol
 //     T_min  = earliest pending event across all shards
@@ -18,29 +18,35 @@
 // boundary incurs the same cut-link propagation as data, so the pause
 // cascade can never outrun the window either.
 //
-// Cross-shard events travel through per-(src-shard, dst-shard) mailboxes:
-// a worker posts into its own row (single writer), the coordinator drains
-// all rows between windows in fixed (src, dst, FIFO) order. Ordering of
-// execution does NOT depend on drain order: every event carries a canonical
-// (time, channel, sequence) key assigned by the sender, and each shard's
-// heap fires in key order. The observable stream is therefore the key-sorted
-// event sequence — a pure function of the scenario, byte-identical for
-// every shard count (including 1).
+// Every event carries a canonical (time, channel, sequence) key assigned by
+// the sender, and each shard's heap fires in key order. The observable
+// stream is therefore the key-sorted event sequence — a pure function of
+// the scenario, byte-identical for every shard count.
+//
+// K = 1 (the default) runs each window inline on the calling thread: no
+// worker thread, no barrier, no mailbox, and trace hooks fire directly
+// from the executing event — already in key order. K >= 2 adds what
+// threads need:
+//   - one worker thread per shard, synchronized by two std::barriers per
+//     device pass and nothing else: everything a worker reads was written
+//     before the start barrier, everything the coordinator reads before the
+//     end barrier. No locks, no atomics on the event path —
+//     ThreadSanitizer-clean by construction;
+//   - per-(src-shard, dst-shard) mailboxes: a worker posts cross-shard
+//     events into its own row (single writer), the coordinator drains all
+//     rows between windows in fixed (src, dst, FIFO) order;
+//   - per-shard trace-record buffers, k-way merged by key at each barrier
+//     and replayed into the real hooks on the coordinator thread.
 //
 // Control events (deadlock-monitor polls, route flaps, campaign guards,
 // stats samplers) live on the *control* simulator — the one the Scenario
 // owns. The engine installs itself as that simulator's run delegate, so
-// run_until() on it drives the whole sharded run; at each control
-// timestamp Tc the engine finishes all device events with time <= Tc,
-// drains the control events at Tc on the coordinator thread (devices
-// frozen at the barrier — control code may call into them synchronously),
-// and repeats the device pass for any same-time events control injected.
-//
-// Synchronization is two std::barriers per device pass and nothing else:
-// everything a worker reads was written before the start barrier, and
-// everything the coordinator reads was written before the end barrier. No
-// locks, no atomics on the event path — ThreadSanitizer-clean by
-// construction (see DESIGN.md "Sharded simulation architecture").
+// run_until() on it drives the whole run; at each control timestamp Tc the
+// engine finishes all device events with time <= Tc, drains the control
+// events at Tc on the calling thread (devices frozen between windows —
+// control code may call into them synchronously), and repeats the device
+// pass for any same-time events control injected (see DESIGN.md "Sharded
+// simulation architecture").
 #pragma once
 
 #include <barrier>
@@ -58,10 +64,9 @@
 namespace dcdl {
 
 /// Declares, for the current thread, that Networks constructed while this
-/// object is alive should run on a sharded engine with (up to) `shards`
-/// shards. Scenario factories don't take engine parameters; this is how
-/// callers (CLI --shards, campaign executor, tests) opt a construction in.
-/// shards <= 1 requests the legacy single-threaded engine.
+/// object is alive run with (up to) `shards` shards (>= 1). Scenario
+/// factories don't take engine parameters; this is how callers (CLI
+/// --shards, campaign executor, tests) choose a construction's shard count.
 class ScopedShardRequest {
  public:
   explicit ScopedShardRequest(int shards);
@@ -69,7 +74,7 @@ class ScopedShardRequest {
   ScopedShardRequest(const ScopedShardRequest&) = delete;
   ScopedShardRequest& operator=(const ScopedShardRequest&) = delete;
 
-  /// The innermost active request on this thread (0 = none/legacy).
+  /// The innermost active request on this thread (1 when none is active).
   static int active();
 
  private:
@@ -78,11 +83,12 @@ class ScopedShardRequest {
 
 class ShardedEngine final : public Simulator::RunDelegate {
  public:
-  /// A buffered observation, tagged with the ordering key of the event that
-  /// emitted it. Workers append these instead of firing Trace hooks; the
-  /// coordinator k-way-merges all shard buffers by (at, chan, seq, intra)
-  /// and replays them into the real hooks — observers see one globally
-  /// ordered stream, identical for every shard count.
+  /// A buffered observation (K >= 2), tagged with the ordering key of the
+  /// event that emitted it. Workers append these instead of firing Trace
+  /// hooks; the coordinator k-way-merges all shard buffers by
+  /// (at, chan, seq, intra) and replays them into the real hooks —
+  /// observers see one globally ordered stream, identical for every shard
+  /// count.
   enum class RecKind : std::uint8_t {
     kPfcState,
     kQueueBytes,
@@ -114,7 +120,8 @@ class ShardedEngine final : public Simulator::RunDelegate {
   };
   struct Stats {
     std::uint64_t windows = 0;        ///< conservative windows completed
-    std::uint64_t device_passes = 0;  ///< barrier round-trips
+    std::uint64_t device_passes = 0;  ///< barrier round-trips at K >= 2,
+                                      ///< inline windows at K = 1
     std::uint64_t control_phases = 0;
     std::uint64_t cross_shard_events = 0;  ///< mailbox deliveries
     std::vector<ShardStats> shard;
@@ -122,7 +129,7 @@ class ShardedEngine final : public Simulator::RunDelegate {
 
   /// `control` is the scenario-owned simulator; the engine installs itself
   /// as its run delegate and removes itself on destruction. `lookahead`
-  /// must be > 0 when num_shards > 1.
+  /// must be > 0 when num_shards > 1 (it is unused at one shard).
   ShardedEngine(Simulator& control, int num_shards, Time lookahead);
   ~ShardedEngine() override;
   ShardedEngine(const ShardedEngine&) = delete;
@@ -131,23 +138,28 @@ class ShardedEngine final : public Simulator::RunDelegate {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   Time lookahead() const { return lookahead_; }
   Simulator& shard_sim(std::uint32_t shard) { return *shards_[shard]; }
-  Simulator& control_sim() { return *ctl_; }
 
-  /// Schedules a keyed event on `dst_shard`'s simulator. From that shard's
-  /// own worker (or from the coordinator, where all shards are quiescent)
-  /// this is a direct schedule; from another shard's worker it is appended
-  /// to the mailbox and delivered at the next window barrier. `at` must lie
-  /// beyond the current window for cross-shard posts — guaranteed by the
-  /// lookahead contract, asserted at drain time.
+  /// Schedules a keyed event on `dst_shard`'s simulator. At one shard, from
+  /// the destination shard's own worker, or from the coordinator (where all
+  /// shards are quiescent) this is a direct schedule; from another shard's
+  /// worker it is appended to the mailbox and delivered at the next window
+  /// barrier. `at` must lie beyond the current window for cross-shard posts
+  /// — guaranteed by the lookahead contract, asserted at drain time.
   void post(std::uint32_t dst_shard, Time at, std::uint64_t chan,
-            std::uint64_t seq, EventFn fn);
+            std::uint64_t seq, EventFn&& fn) {
+    if (single_ != nullptr) {
+      single_->schedule_keyed(at, chan, seq, std::move(fn));
+      return;
+    }
+    post_across(dst_shard, at, chan, seq, std::move(fn));
+  }
 
-  /// Appends a trace record to `shard`'s buffer (worker-side).
+  /// Appends a trace record to `shard`'s buffer (worker-side, K >= 2).
   void push_record(std::uint32_t shard, const TraceRec& rec) {
     records_[shard].push_back(rec);
   }
 
-  /// Sink for merged trace records (the Network's hook replayer).
+  /// Sink for merged trace records (the Network's hook replayer, K >= 2).
   void set_replay(std::function<void(const TraceRec&)> fn) {
     replay_ = std::move(fn);
   }
@@ -163,10 +175,6 @@ class ShardedEngine final : public Simulator::RunDelegate {
     on_worker_start_ = std::move(fn);
   }
 
-  /// Shard owned by the calling thread, or -1 off worker threads
-  /// (coordinator, setup, control phases).
-  static int current_worker_shard();
-
   /// Drives the whole run to `deadline` (all simulators end at deadline).
   /// Returns false if the control simulator's stop() fired.
   bool run_until(Time deadline);
@@ -181,6 +189,7 @@ class ShardedEngine final : public Simulator::RunDelegate {
     return run_until(deadline);
   }
   void delegate_run() override { run_all(); }
+  void add_event_counts(Simulator::Counters& c) const override;
 
  private:
   struct RemoteEvent {
@@ -190,11 +199,14 @@ class ShardedEngine final : public Simulator::RunDelegate {
     EventFn fn;
   };
 
+  void post_across(std::uint32_t dst_shard, Time at, std::uint64_t chan,
+                   std::uint64_t seq, EventFn&& fn);
   void ensure_workers();
   void worker_main(std::uint32_t shard);
-  /// One barrier round: every shard executes events with key <
-  /// (limit_at, limit_chan), then the coordinator drains mailboxes and
-  /// replays merged trace records.
+  /// One device pass: every shard executes events with key <
+  /// (limit_at, limit_chan) — inline at one shard; at K >= 2 as one barrier
+  /// round, after which the coordinator drains mailboxes and replays merged
+  /// trace records.
   void device_pass(Time limit_at, std::uint64_t limit_chan);
   void drain_mailboxes();
   void replay_records();
@@ -204,6 +216,8 @@ class ShardedEngine final : public Simulator::RunDelegate {
   Simulator* ctl_;
   Time lookahead_;
   std::vector<std::unique_ptr<Simulator>> shards_;
+  /// The only shard's simulator when K = 1 (inline mode), else null.
+  Simulator* single_ = nullptr;
   /// mail_[src * K + dst]: single writer (src worker between barriers),
   /// single reader (coordinator at the barrier).
   std::vector<std::vector<RemoteEvent>> mail_;

@@ -8,27 +8,29 @@
 namespace dcdl {
 
 thread_local int Simulator::arena_scope_depth_ = 0;
-thread_local Simulator::Arena* Simulator::arena_stash_ = nullptr;
+thread_local std::vector<Simulator::Arena>* Simulator::arena_stash_ = nullptr;
 
 Simulator::Simulator() {
-  if (arena_scope_depth_ > 0 && arena_stash_ != nullptr) {
-    heap_ = std::move(arena_stash_->heap);
-    slab_ = std::move(arena_stash_->slab);
-    free_slots_ = std::move(arena_stash_->free_slots);
-    delete arena_stash_;
-    arena_stash_ = nullptr;
+  if (arena_scope_depth_ > 0 && arena_stash_ != nullptr &&
+      !arena_stash_->empty()) {
+    Arena& a = arena_stash_->back();
+    heap_ = std::move(a.heap);
+    slab_ = std::move(a.slab);
+    free_slots_ = std::move(a.free_slots);
+    arena_stash_->pop_back();
   }
 }
 
 Simulator::~Simulator() {
-  if (arena_scope_depth_ > 0 && arena_stash_ == nullptr) {
+  if (arena_scope_depth_ > 0) {
     // clear() destroys pending closures but keeps vector capacity — the
     // next Simulator on this thread starts with a warmed arena.
     heap_.clear();
     slab_.clear();
     free_slots_.clear();
-    arena_stash_ = new Arena{std::move(heap_), std::move(slab_),
-                             std::move(free_slots_)};
+    if (arena_stash_ == nullptr) arena_stash_ = new std::vector<Arena>();
+    arena_stash_->push_back(
+        Arena{std::move(heap_), std::move(slab_), std::move(free_slots_)});
   }
 }
 
@@ -43,8 +45,15 @@ Simulator::ScopedArenaRecycling::~ScopedArenaRecycling() {
   }
 }
 
+Simulator::Counters Simulator::counters() const {
+  Counters c{scheduled_,   executed_,        cancelled_, slab_grows_,
+             slab_.size(), heap_high_water_, live_};
+  if (delegate_ != nullptr) delegate_->add_event_counts(c);
+  return c;
+}
+
 EventId Simulator::push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
-                              EventFn fn) {
+                              EventFn&& fn) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -72,7 +81,7 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
 }
 
 EventId Simulator::schedule_keyed(Time at, std::uint64_t chan,
-                                  std::uint64_t seq, EventFn fn) {
+                                  std::uint64_t seq, EventFn&& fn) {
   DCDL_EXPECTS(at >= now_);
   DCDL_EXPECTS(chan != 0 && chan != kAllChannels);
   DCDL_EXPECTS(static_cast<bool>(fn));

@@ -1,18 +1,17 @@
-// Single-threaded discrete-event simulation engine.
+// Discrete-event simulation engine: one event heap and its clock.
 //
-// Determinism: events at the same timestamp fire in scheduling order (a
-// monotonically increasing sequence number breaks ties), so a scenario with
-// a fixed RNG seed replays identically. The golden-trace tests pin this
-// ordering across engine refactors.
-//
-// Keyed scheduling (sharded mode): schedule_keyed() orders events by an
-// explicit (time, channel, sequence) key instead of the global scheduling
-// sequence. Channel/sequence pairs are assigned by the caller from
-// topology-derived identities (wire, per-node timer, out-of-band path), so
-// the execution order is a pure function of the scenario — independent of
-// how many shard simulators the run is split across. Legacy schedule_at()
-// uses channel 0 with the global sequence, which makes the extended
-// comparator degenerate to the historical (time, seq) order bit-for-bit.
+// Two ways to order events at one timestamp:
+//   - schedule_at() breaks ties by scheduling order (a monotonically
+//     increasing sequence number) — control simulators (monitors,
+//     samplers, route flaps) and standalone uses;
+//   - schedule_keyed() orders events by an explicit (time, channel,
+//     sequence) key. Channel/sequence pairs are assigned by the caller from
+//     topology-derived identities (wire, per-node timer, out-of-band path),
+//     so the execution order is a pure function of the scenario —
+//     independent of how many shard simulators a run is split across
+//     (every device event is keyed; see sim/sharded.hpp).
+// schedule_at() uses channel 0, which no keyed event may use, so both
+// kinds share one comparator.
 //
 // Hot-path memory architecture (see DESIGN.md): callbacks live in a
 // generation-tagged slab of fixed-size records recycled through a free
@@ -51,15 +50,35 @@ class Simulator {
   /// run_keyed_window (no real channel ever uses this value).
   static constexpr std::uint64_t kAllChannels = ~std::uint64_t{0};
 
+  /// Lifetime counters of the engine's hot path, exposed for the telemetry
+  /// layer and bench_perf. All are monotonic except `pending`; none cost
+  /// more than an integer bump per schedule/cancel to maintain.
+  struct Counters {
+    std::uint64_t scheduled = 0;  ///< schedule_at/schedule_keyed calls
+    std::uint64_t executed = 0;   ///< callbacks fired
+    std::uint64_t cancelled = 0;  ///< effective cancels (stale ids excluded)
+    /// Times the event slab grew by a slot because the free list was empty —
+    /// each is one real heap allocation; zero in a recycled-arena steady
+    /// state.
+    std::uint64_t slab_grows = 0;
+    std::size_t slab_slots = 0;       ///< slab high-water (slabs never shrink)
+    std::size_t heap_high_water = 0;  ///< max heap entries ever pending
+    std::size_t pending = 0;          ///< live events right now
+  };
+
   /// A run driver substituted for the local event loop: when set, run() /
   /// run_until() on this simulator delegate to the coordinator (the sharded
   /// engine), so code holding a Simulator& — scenario helpers, the deadlock
-  /// monitor's stop-and-drain — transparently drives the whole sharded run.
+  /// monitor's stop-and-drain — transparently drives the whole run.
   class RunDelegate {
    public:
     virtual ~RunDelegate() = default;
     virtual bool delegate_run_until(Time deadline) = 0;
     virtual void delegate_run() = 0;
+    /// Adds the event counts (scheduled, executed, cancelled, pending) of
+    /// the simulators the delegate runs on this one's behalf, so counters()
+    /// here reports the whole run — identically for every shard count.
+    virtual void add_event_counts(Counters& c) const = 0;
   };
 
   Simulator();
@@ -79,9 +98,9 @@ class Simulator {
 
   /// Schedules `fn` under an explicit ordering key (at, chan, seq). Keys
   /// must be unique per simulator; `chan` must be non-zero (channel 0 is
-  /// the legacy global-sequence channel). Events fire in key order.
+  /// schedule_at's scheduling-order channel). Events fire in key order.
   EventId schedule_keyed(Time at, std::uint64_t chan, std::uint64_t seq,
-                         EventFn fn);
+                         EventFn&& fn);
 
   /// Cancels a pending event. Cancelling an already-fired or already
   /// cancelled event is a harmless no-op and never accumulates state: the
@@ -102,8 +121,8 @@ class Simulator {
   void stop() { stopped_ = true; }
 
   // --- sharded-engine interface (see sim/sharded.hpp) -------------------
-  // These never allocate and are harmless on a legacy simulator; they are
-  // grouped so the coordination protocol reads in one place.
+  // These never allocate; they are grouped so the coordination protocol
+  // reads in one place.
 
   /// Executes every event with key < (limit_at, limit_chan); afterwards
   /// now() == max(now, limit_at). Returns the number of events executed.
@@ -129,11 +148,6 @@ class Simulator {
   bool stop_requested() const { return stopped_; }
   void clear_stop() { stopped_ = false; }
 
-  /// Folds events executed elsewhere (on shard simulators) into this
-  /// simulator's executed count, so events_executed() on the control
-  /// simulator reports the whole run — identically for every shard count.
-  void credit_external_events(std::uint64_t n) { executed_ += n; }
-
   /// Ordering key of the event currently executing (valid inside a
   /// callback). Used to tag buffered trace records for the global merge.
   std::uint64_t current_chan() const { return cur_chan_; }
@@ -143,28 +157,13 @@ class Simulator {
   std::uint32_t next_intra() { return intra_++; }
   // ----------------------------------------------------------------------
 
-  std::uint64_t events_executed() const { return executed_; }
-  std::size_t pending_events() const { return live_; }
+  std::uint64_t events_executed() const { return counters().executed; }
+  std::size_t pending_events() const { return counters().pending; }
 
-  /// Lifetime counters of the engine's hot path, exposed for the telemetry
-  /// layer and bench_perf. All are monotonic except `pending`; none cost
-  /// more than an integer bump per schedule/cancel to maintain.
-  struct Counters {
-    std::uint64_t scheduled = 0;  ///< schedule_at/schedule_keyed calls
-    std::uint64_t executed = 0;   ///< callbacks fired
-    std::uint64_t cancelled = 0;  ///< effective cancels (stale ids excluded)
-    /// Times the event slab grew by a slot because the free list was empty —
-    /// each is one real heap allocation; zero in a recycled-arena steady
-    /// state.
-    std::uint64_t slab_grows = 0;
-    std::size_t slab_slots = 0;       ///< slab high-water (slabs never shrink)
-    std::size_t heap_high_water = 0;  ///< max heap entries ever pending
-    std::size_t pending = 0;          ///< live events right now
-  };
-  Counters counters() const {
-    return Counters{scheduled_,   executed_,        cancelled_, slab_grows_,
-                    slab_.size(), heap_high_water_, live_};
-  }
+  /// This simulator's counters plus, through the run delegate, the event
+  /// counts of the shard simulators it drives. The allocation-shape fields
+  /// (slab_*, heap_high_water) stay this simulator's own.
+  Counters counters() const;
 
   /// Diagnostic: heap entries including cancelled husks awaiting their pop.
   /// Bounded by the number of still-scheduled timestamps; the regression
@@ -176,11 +175,14 @@ class Simulator {
 
   /// While an object of this type is alive on a thread, Simulators
   /// destroyed on that thread donate their slab/heap storage to a
-  /// thread-local stash and newly constructed ones adopt it — so a worker
-  /// that runs many simulations back-to-back (the campaign executor) pays
-  /// the arena growth once instead of once per run. Scopes nest; the stash
-  /// is freed when the outermost scope exits. No effect on behaviour, only
-  /// on allocation traffic.
+  /// thread-local last-in-first-out stash and newly constructed ones adopt
+  /// the most recent donation — so a worker that runs many simulations
+  /// back-to-back (the campaign executor) pays the arena growth once
+  /// instead of once per run. LIFO matters: a network's shard simulators
+  /// die before the control simulator and are built after it, so each
+  /// simulator gets back the arena its predecessor in the same role grew.
+  /// Scopes nest; the stash is freed when the outermost scope exits. No
+  /// effect on behaviour, only on allocation traffic.
   class ScopedArenaRecycling {
    public:
     ScopedArenaRecycling();
@@ -200,8 +202,8 @@ class Simulator {
   };
 
   /// "a fires after b" — used as the comparator of a std::push_heap /
-  /// std::pop_heap min-heap on (at, chan, seq). Legacy events all carry
-  /// chan 0, so their order is the historical (at, seq).
+  /// std::pop_heap min-heap on (at, chan, seq). Unkeyed events all carry
+  /// chan 0, so among themselves they fire in (at, seq) order.
   struct EntryAfter {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -224,14 +226,14 @@ class Simulator {
   };
 
   EventId push_entry(Time at, std::uint64_t chan, std::uint64_t seq,
-                     EventFn fn);
+                     EventFn&& fn);
   bool step();  // pops and runs one live event; false if queue empty
   /// Pops cancelled husks off the heap top; afterwards the top (if any) is
   /// live.
   void skim_husks();
 
   static thread_local int arena_scope_depth_;
-  static thread_local Arena* arena_stash_;
+  static thread_local std::vector<Arena>* arena_stash_;
 
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;

@@ -55,9 +55,10 @@ ShardPlan assign_shards(const Topology& topo, int requested_shards) {
   DCDL_EXPECTS(requested_shards >= 1);
   ShardPlan plan;
   plan.node_shard.assign(topo.node_count(), 0);
+  if (requested_shards == 1) return plan;
 
   const std::vector<NodeId> switches = topo.switches();
-  if (requested_shards <= 1 || switches.size() <= 1) {
+  if (switches.size() <= 1) {
     plan.num_shards = 1;
     return plan;
   }

@@ -5,8 +5,8 @@
 //   * to_alerts_jsonl: one header line (schema, cadence, resolved rule
 //     set), one line per emitted alert edge, one trailing summary line —
 //     line-oriented so a partial file is still scannable. Everything in it
-//     is a pure function of the scenario; under sharding the stream is
-//     byte-identical for every --jobs x --shards with shards >= 1.
+//     is a pure function of the scenario; the stream is byte-identical
+//     for every --jobs x --shards.
 //
 //   * to_perfetto_alerts: the same edges as Perfetto instant events (a
 //     "watch" pseudo-process), so alerts line up against the flight

@@ -67,8 +67,9 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
   }
 
   // Open-pause bookkeeping rides the pfc_state hook — chained, so it
-  // coexists with the probe's and the pause log's observers. Under
-  // --shards the hook fires on the control thread during barrier replay.
+  // coexists with the probe's and the pause log's observers. It fires on
+  // the thread driving the run: inline at one shard, during the barrier
+  // replay at two or more.
   stats::append_hook(
       net_.trace().pfc_state,
       [this](Time t, NodeId node, PortId port, ClassId cls, bool paused) {

@@ -7,14 +7,12 @@
 // DeadlockMonitor's dwell-confirmed verdict.
 //
 // Determinism contract (identical to RunProbe's): the sampler is an
-// IntervalSampler scheduled on the scenario's externally visible simulator.
-// In sharded runs that is the control simulator, whose events execute at
-// window barriers after all device records up to the barrier have been
-// replayed in globally merged order — so every signal read is a pure
+// IntervalSampler scheduled on the scenario's externally visible simulator
+// — the engine's control simulator, whose events execute at window
+// barriers after every device observation up to the barrier has reached
+// the hooks in globally merged order — so every signal read is a pure
 // function of the scenario, and the alert stream (dcdl.alerts.v1) is
-// byte-identical across --jobs x --shards for every shard count >= 1.
-// Legacy --shards 0 keeps its own identity class, exactly like the trace
-// and timeseries artifacts.
+// byte-identical across --jobs x --shards.
 //
 // Signals sampled per tick (fixed registry order — part of the
 // dcdl.alerts.v1 layout):

@@ -313,8 +313,7 @@ std::string summary_digest(const RunSummary& r) {
 std::string valley_recovery_digest(int shards) {
   scenarios::ValleyViolationParams p;
   p.dataplane.policy = RecoveryPolicy::kReroute;
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   Scenario s = scenarios::make_valley_violation(p);
   req.reset();
   const RunSummary r = scenarios::run_and_check(s, 20_ms, 10_ms);
@@ -322,8 +321,7 @@ std::string valley_recovery_digest(int shards) {
 }
 
 TEST(DataplaneSharded, RecoveryTimelineIsByteIdenticalAcrossShardCounts) {
-  const std::string base = valley_recovery_digest(0);  // legacy engine
-  EXPECT_EQ(valley_recovery_digest(1), base);
+  const std::string base = valley_recovery_digest(1);
   EXPECT_EQ(valley_recovery_digest(2), base);
   EXPECT_EQ(valley_recovery_digest(4), base);
 }

@@ -60,5 +60,17 @@ TEST(FlagsDeath, CheckUnusedCatchesTypos) {
   EXPECT_EXIT(f.check_unused(), testing::ExitedWithCode(2), "unknown flag");
 }
 
+TEST(Flags, ShardsDefaultsToOne) {
+  EXPECT_EQ(make({}).shards(), 1);
+  EXPECT_EQ(make({"--shards=4"}).shards(), 4);
+}
+
+TEST(FlagsDeath, ShardsBelowOneIsRejected) {
+  EXPECT_EXIT(make({"--shards=0"}).shards(), testing::ExitedWithCode(2),
+              "--shards must be >= 1");
+  EXPECT_EXIT(make({"--shards", "-1"}).shards(), testing::ExitedWithCode(2),
+              "--shards must be >= 1");
+}
+
 }  // namespace
 }  // namespace dcdl

@@ -177,10 +177,7 @@ TEST(HybridExecutor, ArtifactsByteIdenticalAcrossJobsAndShards) {
   spec.drain_grace = 6_ms;
   const std::vector<RunSpec> runs = expand(spec);
 
-  // The sharded engine's byte-identity contract holds across every
-  // --shards >= 1 (sim.* gauges differ structurally from the legacy
-  // engine's, so shards=0 is not in the comparison set — same as the
-  // test_sharded digests).
+  // The engine's byte-identity contract holds across every --shards.
   ExecutorOptions serial;
   serial.jobs = 1;
   serial.shards = 1;

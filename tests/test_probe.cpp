@@ -1,7 +1,7 @@
 // dcdl::probe: log-histogram exactness and percentile error bounds, series
 // ring semantics, the RunProbe end-to-end path on real scenarios, and the
 // artifact identity contract (byte-identical dcdl.timeseries.v1 across
-// --jobs x --shards within the sharded identity class).
+// --jobs x --shards).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -212,8 +212,7 @@ TEST(RunProbeTest, SummaryIsDeterministicAcrossRuns) {
 // ------------------------------------------------- artifact identity class
 
 std::string timeseries_for_shards(int shards) {
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   RoutingLoopParams p;
   p.inject = Rate::gbps(7);
   Scenario s = make_routing_loop(p);
@@ -227,10 +226,8 @@ std::string timeseries_for_shards(int shards) {
 
 TEST(TimeseriesArtifactTest, ByteIdenticalAcrossShardCounts) {
   // The sampler rides the control simulator: its ticks execute at window
-  // barriers after the merged replay, so the exported artifact (which
-  // carries deterministic series only) is one byte stream for every shard
-  // count >= 1. Legacy --shards 0 is its own identity class, exactly like
-  // the trace artifacts.
+  // barriers after every device observation up to the barrier, so the
+  // exported artifact is one byte stream for every shard count.
   const std::string s1 = timeseries_for_shards(1);
   EXPECT_EQ(s1, timeseries_for_shards(2));
   EXPECT_EQ(s1, timeseries_for_shards(4));
@@ -238,7 +235,7 @@ TEST(TimeseriesArtifactTest, ByteIdenticalAcrossShardCounts) {
 }
 
 TEST(TimeseriesArtifactTest, HeaderRowsAndHistogramsAreWellFormed) {
-  const std::string art = timeseries_for_shards(0);
+  const std::string art = timeseries_for_shards(1);
   const std::string header = art.substr(0, art.find('\n'));
   EXPECT_NE(header.find("\"schema\":\"dcdl.timeseries.v1\""),
             std::string::npos);
@@ -247,7 +244,7 @@ TEST(TimeseriesArtifactTest, HeaderRowsAndHistogramsAreWellFormed) {
   EXPECT_NE(header.find("\"queue_bytes\""), std::string::npos);
   EXPECT_NE(header.find("\"pfc.active_pauses\""), std::string::npos);
   EXPECT_EQ(header.find("\"engine."), std::string::npos)
-      << "engine series never appear in golden artifacts";
+      << "no series may depend on the shard plan";
   const std::size_t rows = static_cast<std::size_t>(
       std::count(art.begin(), art.end(), '\n'));
   // header + 20 ticks + one line per histogram.

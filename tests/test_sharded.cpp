@@ -65,6 +65,17 @@ void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// the same malloc as the deletes below, or AddressSanitizer reports an
+// alloc-dealloc mismatch.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return ::operator new(n, t);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -148,8 +159,7 @@ std::uint64_t ring_digest(int shards, Time run_for) {
   RingDeadlockParams p;
   p.num_switches = 6;  // 6 arcs to cut: supports 2, 4, and 8-way requests
   p.span = 2;
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   Scenario s = make_ring_deadlock(p);
   req.reset();
   return digest_net(*s.sim, *s.net, run_for);
@@ -158,8 +168,7 @@ std::uint64_t ring_digest(int shards, Time run_for) {
 std::uint64_t routing_loop_digest(int shards, Rate inject, Time run_for) {
   RoutingLoopParams p;
   p.inject = inject;
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   Scenario s = make_routing_loop(p);
   req.reset();
   return digest_net(*s.sim, *s.net, run_for);
@@ -171,8 +180,7 @@ std::uint64_t routing_loop_digest(int shards, Rate inject, Time run_for) {
 std::uint64_t fat_tree_digest(int shards, Time run_for) {
   Simulator sim;
   const topo::FatTreeTopo ft = topo::make_fat_tree(4);
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   auto net = std::make_unique<Network>(sim, ft.topo, NetConfig{});
   req.reset();
   routing::install_shortest_paths(*net);
@@ -228,8 +236,7 @@ RingOutcome ring_outcome(int shards) {
   RingDeadlockParams p;
   p.num_switches = 6;
   p.span = 2;
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   Scenario s = make_ring_deadlock(p);
   req.reset();
   stats::PauseEventLog pauses(*s.net);
@@ -341,7 +348,7 @@ TEST(ShardPlan, EffectiveShardCountIsClamped) {
 }
 
 TEST(ShardPlan, ScopedRequestNestsAndRestores) {
-  EXPECT_EQ(ScopedShardRequest::active(), 0);
+  EXPECT_EQ(ScopedShardRequest::active(), 1);
   {
     ScopedShardRequest outer(4);
     EXPECT_EQ(ScopedShardRequest::active(), 4);
@@ -351,7 +358,7 @@ TEST(ShardPlan, ScopedRequestNestsAndRestores) {
     }
     EXPECT_EQ(ScopedShardRequest::active(), 4);
   }
-  EXPECT_EQ(ScopedShardRequest::active(), 0);
+  EXPECT_EQ(ScopedShardRequest::active(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,7 +372,6 @@ TEST(ShardedEngineStats, WindowsAndCrossShardTrafficAreCounted) {
   Scenario s = make_ring_deadlock(p);
   req.reset();
 
-  ASSERT_TRUE(s.net->sharded());
   ShardedEngine& eng = s.net->engine();
   EXPECT_EQ(eng.num_shards(), 4);
   EXPECT_EQ(s.net->shard_plan().num_shards, 4);
@@ -390,9 +396,32 @@ TEST(ShardedEngineStats, WindowsAndCrossShardTrafficAreCounted) {
   EXPECT_GE(s.sim->events_executed(), executed);
 }
 
-TEST(ShardedEngineStats, LegacyConstructionStaysSingleThreaded) {
-  Scenario s = make_ring_deadlock(RingDeadlockParams{});
-  EXPECT_FALSE(s.net->sharded());
+Simulator::Counters ring_counters(int shards) {
+  RingDeadlockParams p;
+  p.num_switches = 6;
+  p.span = 2;
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
+  Scenario s = make_ring_deadlock(p);
+  req.reset();
+  s.sim->run_until(1_ms);
+  return s.sim->counters();
+}
+
+TEST(ShardedEngineStats, EventCountsAreEngineWideAndShardInvariant) {
+  // counters() on the control simulator folds in every shard simulator's
+  // event counts, so the books balance over the whole engine and read the
+  // same for every shard count.
+  const Simulator::Counters one = ring_counters(1);
+  EXPECT_EQ(one.scheduled, one.executed + one.cancelled + one.pending);
+  EXPECT_GT(one.executed, 1000u) << "device events must be counted";
+  for (const int shards : {2, 4}) {
+    const Simulator::Counters c = ring_counters(shards);
+    EXPECT_EQ(c.scheduled, c.executed + c.cancelled + c.pending);
+    EXPECT_EQ(c.scheduled, one.scheduled) << shards << " shards";
+    EXPECT_EQ(c.executed, one.executed) << shards << " shards";
+    EXPECT_EQ(c.cancelled, one.cancelled) << shards << " shards";
+    EXPECT_EQ(c.pending, one.pending) << shards << " shards";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +438,6 @@ TEST(ShardedZeroAlloc, RoutingLoopSteadyStateAllocatesNothing) {
   std::optional<ScopedShardRequest> req{std::in_place, 2};
   Scenario s = make_routing_loop(p);
   req.reset();
-  ASSERT_TRUE(s.net->sharded());
   ASSERT_EQ(s.net->engine().num_shards(), 2);
 
   s.sim->run_until(2_ms);  // warm-up: arenas and mailboxes reach high water

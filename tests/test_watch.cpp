@@ -223,8 +223,7 @@ TEST(RunWatchTest, SummaryLayoutCarriesRulesAndSignalMaxima) {
 // ------------------------------------------------- artifact identity class
 
 std::string alerts_for_shards(int shards) {
-  std::optional<ScopedShardRequest> req;
-  if (shards >= 1) req.emplace(shards);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
   RoutingLoopParams p;
   p.inject = Rate::gbps(7);
   Scenario s = make_routing_loop(p);
@@ -237,8 +236,7 @@ std::string alerts_for_shards(int shards) {
 
 TEST(AlertsArtifactTest, ByteIdenticalAcrossShardCounts) {
   // The watcher samples at window barriers on the control simulator, so
-  // the dcdl.alerts.v1 stream is one byte sequence for every shard count
-  // >= 1; legacy --shards 0 keeps its own identity class.
+  // the dcdl.alerts.v1 stream is one byte sequence for every shard count.
   const std::string s1 = alerts_for_shards(1);
   EXPECT_EQ(s1, alerts_for_shards(2));
   EXPECT_EQ(s1, alerts_for_shards(4));
@@ -246,8 +244,6 @@ TEST(AlertsArtifactTest, ByteIdenticalAcrossShardCounts) {
   EXPECT_NE(s1.find("\"kind\":\"fire\""), std::string::npos)
       << "the above-boundary loop must produce alert edges";
   EXPECT_NE(s1.find("\"summary\":{"), std::string::npos);
-  const std::string s0 = alerts_for_shards(0);
-  EXPECT_NE(s0.find("\"schema\":\"dcdl.alerts.v1\""), std::string::npos);
 }
 
 TEST(AlertsArtifactTest, PerfettoInstantsRenderDeterministically) {

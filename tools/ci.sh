@@ -62,9 +62,9 @@ if [ "$perf" = 1 ]; then
   # Dataplane determinism leg: the in-switch detection/recovery pipeline
   # must produce the same detection/recovery timeline whatever the thread
   # layout. Two angles, both under TSan: the gtest shard-invariance suite
-  # (legacy engine vs 1/2/4 shards inside one run), and a dcdl_sweep
-  # recovery campaign whose JSON artifact must be byte-identical across
-  # --jobs x --shards combinations.
+  # (1/2/4 shards inside one run), and a dcdl_sweep recovery campaign whose
+  # JSON artifact must be byte-identical across --jobs x --shards
+  # combinations.
   cmake --build "$tsan_dir" --target test_dataplane dcdl_sweep -j"$(nproc)"
   "$tsan_dir/tests/test_dataplane" --gtest_filter='DataplaneSharded.*'
   dp_sweep() {
@@ -72,15 +72,9 @@ if [ "$perf" = 1 ]; then
       --set "dataplane=reroute" --seeds 2 --run_ms 6 --jobs "$1" \
       --shards "$2" --quiet --out "$3"
   }
-  # Two identity classes (telemetry carries engine-internal counters, so
-  # legacy shards=0 and sharded shards>=1 artifacts differ by design):
-  # --jobs must not matter within either engine, --shards must not matter
-  # within the sharded engine.
-  dp_sweep 1 0 "$tsan_dir/dp_j1.json"
-  dp_sweep 4 0 "$tsan_dir/dp_j4.json"
+  # One identity class: neither --jobs nor --shards may change a byte.
   dp_sweep 1 1 "$tsan_dir/dp_s1.json"
   dp_sweep 4 2 "$tsan_dir/dp_s2.json"
-  cmp "$tsan_dir/dp_j1.json" "$tsan_dir/dp_j4.json"
   cmp "$tsan_dir/dp_s1.json" "$tsan_dir/dp_s2.json"
 
   # Hybrid-engine equivalence leg: the fluid/packet zoom must perturb
@@ -108,10 +102,10 @@ if [ "$perf" = 1 ]; then
 
   # Probe time-series leg: the always-on dcdl::probe sampler snapshots at
   # window barriers, so its `dcdl.timeseries.v1` artifact obeys the same
-  # two identity classes as the telemetry JSON — byte-identical across
-  # --jobs within either engine, and across shard counts within the
-  # sharded engine. dcdl_report over the same campaign directory must also
-  # be a pure function of its inputs (two invocations, identical bytes).
+  # identity class as the telemetry JSON — byte-identical across
+  # --jobs x --shards. dcdl_report over the same campaign directory must
+  # also be a pure function of its inputs (two invocations, identical
+  # bytes).
   cmake --build "$tsan_dir" --target test_probe dcdl_report -j"$(nproc)"
   "$tsan_dir/tests/test_probe"
   ts_sweep() {
@@ -122,12 +116,8 @@ if [ "$perf" = 1 ]; then
       --shards "$2" --quiet --trace "$out_dir" \
       --out "$out_dir/campaign.json"
   }
-  ts_sweep 1 0 x j1s0
-  ts_sweep 4 0 x j4s0
   ts_sweep 1 1 x j1s1
   ts_sweep 4 2 x j4s2
-  cmp "$tsan_dir/ts_j1s0/run_00000.timeseries.jsonl" \
-      "$tsan_dir/ts_j4s0/run_00000.timeseries.jsonl"
   cmp "$tsan_dir/ts_j1s1/run_00000.timeseries.jsonl" \
       "$tsan_dir/ts_j4s2/run_00000.timeseries.jsonl"
   cmp "$tsan_dir/ts_j1s1/run_00001.timeseries.jsonl" \
@@ -140,15 +130,12 @@ if [ "$perf" = 1 ]; then
 
   # Watch early-warning leg: dcdl::watch samples the wait-for graph and
   # pause state at the same window barriers as the probe, so its
-  # `dcdl.alerts.v1` artifact obeys the same two identity classes. The
-  # gtest suite (rule-engine edges, lead-time assertions, executor jobs
+  # `dcdl.alerts.v1` artifact obeys the same identity class. The gtest
+  # suite (rule-engine edges, lead-time assertions, executor jobs
   # invariance) runs under TSan, then the alert streams from the probe
-  # leg's sweeps above must be byte-identical across --jobs within either
-  # engine and across shard counts within the sharded engine.
+  # leg's sweeps above must be byte-identical across --jobs x --shards.
   cmake --build "$tsan_dir" --target test_watch -j"$(nproc)"
   "$tsan_dir/tests/test_watch"
-  cmp "$tsan_dir/ts_j1s0/run_00000.alerts.jsonl" \
-      "$tsan_dir/ts_j4s0/run_00000.alerts.jsonl"
   cmp "$tsan_dir/ts_j1s1/run_00000.alerts.jsonl" \
       "$tsan_dir/ts_j4s2/run_00000.alerts.jsonl"
   cmp "$tsan_dir/ts_j1s1/run_00001.alerts.jsonl" \

@@ -1,27 +1,28 @@
 #!/usr/bin/env sh
 # Builds the concurrency-bearing tests with -fsanitize=thread and runs
-# them, proving both multi-threaded engines are race-free under a real data
-# race detector:
+# them, proving the campaign worker pool and the event engine at two or
+# more shards are race-free under a real data race detector (at one shard
+# the engine runs inline on the calling thread):
 #
 #   - test_campaign: the executor's worker pool (atomic cursor,
 #     pre-assigned record slots, locked progress callback); its determinism
 #     test runs the same sweep at jobs=1 and jobs=8 and asserts
 #     byte-identical artifacts.
-#   - test_sharded: the sharded conservative engine — worker threads,
-#     window barriers, mailboxes, per-shard trace buffers. Its digest tests
-#     run the paper scenarios at 1/2/4/8 shards, so every cross-thread edge
-#     of the window protocol executes under TSan. The engine carries no
+#   - test_sharded: the event engine — worker threads, window barriers,
+#     mailboxes, per-shard trace buffers. Its digest tests run the paper
+#     scenarios at 1/2/4/8 shards, so every cross-thread edge of the window
+#     protocol executes under TSan. The engine carries no
 #     TSan suppressions or annotations: all cross-thread accesses are
 #     ordered by the two std::barrier arrive_and_wait calls per device pass
 #     (see DESIGN.md "Sharded simulation architecture"), so a clean run is
 #     by construction, not by exclusion.
 #   - test_dataplane: the in-switch detection/recovery pipeline, whose
 #     tagged PFC frames and recovery timers cross shard boundaries; its
-#     shard-invariance test runs the valley recovery scenario on the legacy
-#     engine and at 1/2/4 shards and asserts identical summaries.
+#     shard-invariance test runs the valley recovery scenario at 1/2/4
+#     shards and asserts identical summaries.
 #   - test_hybrid: the hybrid fluid/packet engine — its controller runs on
-#     the control simulator while the sharded engine's workers execute
-#     device events; the byte-identity test sweeps with the zoom on across
+#     the control simulator while the engine's workers execute device
+#     events; the byte-identity test sweeps with the zoom on across
 #     jobs=1/shards=1 and jobs=4/shards=2.
 #   - test_probe: the dcdl::probe time-series layer — its sampler ticks on
 #     the control simulator while shard workers run device events, and its
