@@ -52,7 +52,13 @@ using namespace dcdl::scenarios;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::string which = flags.get_string("scenario", "fig4");
-  const Time run_for = Time{flags.get_int("run_ms", 20) * 1'000'000'000};
+  const std::int64_t run_ms = flags.get_int("run_ms", 20);
+  if (run_ms < 1) {
+    std::fprintf(stderr, "dcdl_sim: --run_ms must be >= 1 (got %lld)\n",
+                 static_cast<long long>(run_ms));
+    return 2;
+  }
+  const Time run_for = Time{run_ms * 1'000'000'000};
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const bool watchdog = flags.get_bool("watchdog", false);
   const bool smart_limit = flags.get_bool("smart_limit", false);

@@ -9,7 +9,7 @@
 //   $ ./dcdl_sweep --scenario valley --set "dataplane=reroute" --seeds 3
 //         --out recovery.json   # in-switch DCFIT pipeline; v3 artifacts
 //         # carry detection_latency_ns / recovery_time_ns / false_positive
-//   $ ./dcdl_sweep --list
+//   $ ./dcdl_sweep --list   # every scenario and its --set/--grid keys
 //
 // Flags: --scenario, --grid "a=lo..hi:steps;b=x,y,z", --set "k=v;k2=v2",
 // --seeds, --root_seed, --run_ms, --drain_ms, --dwell_ms, --jobs, --out,
@@ -48,7 +48,7 @@ void list_scenarios(const ScenarioRegistry& reg) {
     const ScenarioDef& def = reg.at(name);
     std::printf("%s — %s\n", name.c_str(), def.description.c_str());
     for (const ParamSpec& p : def.params) {
-      std::printf("  --%s (%s%s%s): %s\n", p.name.c_str(),
+      std::printf("  %s=<%s%s%s>: %s\n", p.name.c_str(),
                   to_string(p.kind), p.unit.empty() ? "" : ", ",
                   p.unit.c_str(), p.description.c_str());
     }

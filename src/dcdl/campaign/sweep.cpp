@@ -34,6 +34,11 @@ std::vector<RunSpec> expand(const SweepSpec& spec) {
   if (spec.seeds_per_cell < 1) {
     throw CampaignError("seeds_per_cell must be >= 1");
   }
+  // Every rate a run reports divides by its horizon.
+  if (spec.run_for <= Time::zero()) {
+    throw CampaignError("run_for must be > 0 (got " +
+                        std::to_string(spec.run_for.ps()) + " ps)");
+  }
   std::size_t cells = 1;
   for (const GridAxis& axis : spec.axes) {
     if (axis.values.empty()) {

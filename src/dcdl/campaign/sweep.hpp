@@ -60,8 +60,8 @@ struct RunSpec {
 /// stable across platforms and thread counts.
 std::uint64_t derive_seed(std::uint64_t root_seed, int run_index);
 
-/// Cartesian expansion; throws CampaignError on an empty axis or a
-/// non-positive seed count.
+/// Cartesian expansion; throws CampaignError on an empty axis, a
+/// non-positive seed count or a non-positive horizon.
 std::vector<RunSpec> expand(const SweepSpec& spec);
 
 /// Parses a grid description, the CLI/bench surface for sweeps:

@@ -1,8 +1,11 @@
 #include "dcdl/common/flags.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
+#include <type_traits>
 
 #include "dcdl/common/contract.hpp"
 
@@ -19,28 +22,59 @@ Flags::Flags(int argc, char** argv) {
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    std::string value;
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      value = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
+      value = argv[++i];
     } else {
-      values_[arg] = "true";  // bare boolean flag
+      value = "true";  // bare boolean flag
+    }
+    // A second occurrence would silently replace the first (a repeated
+    // --set keeps only its last key), so refuse it.
+    if (!values_.emplace(name, std::move(value)).second) {
+      std::fprintf(stderr, "%s: flag --%s given more than once\n",
+                   program_.c_str(), name.c_str());
+      std::exit(2);
     }
   }
 }
+
+namespace {
+
+/// Parses all of `text` as a T; anything left over (a fraction on an
+/// integer, a unit suffix) or a non-finite value exits with code 2.
+template <typename T>
+T parse_whole(const std::string& program, const std::string& name,
+              const std::string& text, const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "%s: --%s expects %s, got '%s'\n", program.c_str(),
+                 name.c_str(), expected, text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t default_value) {
   used_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_whole<std::int64_t>(program_, name, it->second, "an integer");
 }
 
 double Flags::get_double(const std::string& name, double default_value) {
   used_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_whole<double>(program_, name, it->second, "a finite number");
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value) {
@@ -64,8 +98,8 @@ int Flags::jobs() {
   return static_cast<int>(n > 0 ? n : 1);
 }
 
-int Flags::shards() {
-  const std::int64_t n = get_int("shards", 1);
+int Flags::shards(int default_value) {
+  const std::int64_t n = get_int("shards", default_value);
   if (n < 1) {
     std::fprintf(stderr, "%s: --shards must be >= 1 (got %s)\n",
                  program_.c_str(), values_.at("shards").c_str());

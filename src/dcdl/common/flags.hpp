@@ -1,6 +1,8 @@
 // A tiny command-line flag parser for the bench/example binaries, so every
 // experiment can be re-run with different parameters without recompiling.
 // Syntax: --name=value or --name value; bools accept --name / --name=false.
+// A flag given twice, or a numeric flag whose whole value does not parse
+// (`--run_ms 0.5`, `--run_ms 1ms`), exits with code 2 naming the flag.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +14,8 @@ namespace dcdl {
 
 class Flags {
  public:
-  /// Parses argv. Unknown flags abort with a usage message listing the
-  /// flags that were queried so far, so call get_* for all flags first or
-  /// use declare() up front.
+  /// Parses argv; a repeated flag exits with code 2. Unknown flags are
+  /// reported by check_unused(), so call get_* for all flags first.
   Flags(int argc, char** argv);
 
   std::int64_t get_int(const std::string& name, std::int64_t default_value);
@@ -29,8 +30,9 @@ class Flags {
 
   /// --shards N: shards per simulation run (worker threads inside one run
   /// when N >= 2), shared by every bench/CLI entry point that builds
-  /// networks. Defaults to 1; a value below 1 exits with code 2.
-  int shards();
+  /// networks. Defaults to `default_value`; a value below 1 exits with
+  /// code 2.
+  int shards(int default_value = 1);
 
   /// --out <path>: result-artifact path shared by every bench/CLI entry
   /// point that writes one; empty = no artifact.

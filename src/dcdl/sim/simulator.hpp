@@ -51,7 +51,7 @@ class Simulator {
   static constexpr std::uint64_t kAllChannels = ~std::uint64_t{0};
 
   /// Lifetime counters of the engine's hot path, exposed for the telemetry
-  /// layer and bench_perf. All are monotonic except `pending`; none cost
+  /// layer and perfbench. All are monotonic except `pending`; none cost
   /// more than an integer bump per schedule/cancel to maintain.
   struct Counters {
     std::uint64_t scheduled = 0;  ///< schedule_at/schedule_keyed calls

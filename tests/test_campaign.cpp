@@ -88,6 +88,17 @@ TEST(CampaignSweep, ExpandIsCartesianLastAxisFastest) {
   EXPECT_EQ(runs[6].params.get_int("ttl", 0), 16);
 }
 
+TEST(CampaignSweep, ExpandRejectsNonPositiveHorizon) {
+  SweepSpec spec;
+  spec.scenario = "routing_loop";
+  spec.run_for = Time::zero();
+  EXPECT_THROW(expand(spec), CampaignError);
+  spec.run_for = Time{-1};
+  EXPECT_THROW(expand(spec), CampaignError);
+  spec.run_for = Time{1};
+  EXPECT_EQ(expand(spec).size(), 1u);
+}
+
 TEST(CampaignSweep, SeedStreamIsDeterministicAndSpread) {
   EXPECT_EQ(derive_seed(1, 0), derive_seed(1, 0));
   EXPECT_NE(derive_seed(1, 0), derive_seed(1, 1));

@@ -72,5 +72,35 @@ TEST(FlagsDeath, ShardsBelowOneIsRejected) {
               "--shards must be >= 1");
 }
 
+TEST(Flags, SignedAndFractionalValuesParse) {
+  Flags f = make({"--n", "-1", "--x=2.5", "--y", "-3"});
+  EXPECT_EQ(f.get_int("n", 0), -1);
+  EXPECT_DOUBLE_EQ(f.get_double("x", 0), 2.5);
+  EXPECT_DOUBLE_EQ(f.get_double("y", 0), -3);
+}
+
+TEST(FlagsDeath, RepeatedFlagIsRejected) {
+  // Keeping the last value would run this sweep without with_flow3.
+  EXPECT_EXIT(make({"--set", "with_flow3=true", "--set", "tx_jitter_ns=0"}),
+              testing::ExitedWithCode(2), "--set given more than once");
+  EXPECT_EXIT(make({"--n=1", "--n", "2"}), testing::ExitedWithCode(2),
+              "--n given more than once");
+}
+
+TEST(FlagsDeath, MalformedIntIsRejected) {
+  EXPECT_EXIT(make({"--run_ms", "0.5"}).get_int("run_ms", 20),
+              testing::ExitedWithCode(2),
+              "--run_ms expects an integer, got '0.5'");
+  EXPECT_EXIT(make({"--run_ms=1ms"}).get_int("run_ms", 20),
+              testing::ExitedWithCode(2),
+              "--run_ms expects an integer, got '1ms'");
+}
+
+TEST(FlagsDeath, MalformedDoubleIsRejected) {
+  EXPECT_EXIT(make({"--inject_gbps", "abc"}).get_double("inject_gbps", 8),
+              testing::ExitedWithCode(2),
+              "--inject_gbps expects a finite number, got 'abc'");
+}
+
 }  // namespace
 }  // namespace dcdl

@@ -6,7 +6,7 @@
 #   tools/ci.sh --sanitizers [build-dir] # additionally chain asan.sh and
 #                                        # tsan.sh (their own build dirs)
 #   tools/ci.sh --full [build-dir]       # sanitizers + the sharded
-#                                        # determinism leg + the bench_perf
+#                                        # determinism leg + the perfbench
 #                                        # regression gate against the
 #                                        # committed BENCH_perf.json
 #
@@ -19,9 +19,10 @@
 # shard counts and across campaign --jobs under TSan, the hybrid
 # fluid/packet engine re-proves artifact byte-identity across
 # --jobs x --shards and verdict agreement against the pure packet engine,
-# and the hot path held its events/sec baseline. The perf gate uses its own Release build dir
-# (build-perf) — sanitizer and default builds are not valid timing
-# baselines.
+# and tools/perf_gate.py check found no failed operation and no end-to-end
+# perfbench metric worse than BENCH_perf.json by more than its tolerance.
+# perfbench builds its own tree (.bench_build/perfbench); sanitizer builds
+# are not valid timing baselines.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -141,16 +142,11 @@ if [ "$perf" = 1 ]; then
   cmp "$tsan_dir/ts_j1s1/run_00001.alerts.jsonl" \
       "$tsan_dir/ts_j4s2/run_00001.alerts.jsonl"
 
-  # The perf gate below also covers the probe layer: routing_loop_probe
-  # (the same scenario with a 100 us sampler attached) and
-  # routing_loop_watch (sampler + the full early-warning stack: wait-for
-  # snapshots, rule engine, risk reassessment) sit in BENCH_perf.json, so
-  # observability overhead regressions trip the same >10% events/sec check
-  # as any other hot-path change.
-  perf_dir="$repo_root/build-perf"
-  cmake -B "$perf_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$perf_dir" --target bench_perf -j"$(nproc)"
-  "$perf_dir/bench/bench_perf" --baseline "$repo_root/BENCH_perf.json"
+  # Perf gate: every perfbench workload (fabric, hybrid, incident with the
+  # whole observability stack attached, the paper's campaign runs) re-run
+  # with the seeds and seconds stored in BENCH_perf.json. Nothing else may
+  # run while it measures, so it comes after the TSan legs.
+  python3 "$repo_root/tools/perf_gate.py" check
 fi
 
 if [ "$sanitizers" = 1 ]; then
