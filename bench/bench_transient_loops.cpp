@@ -11,6 +11,7 @@
 //           flight.
 //
 // Flags: --run_ms=10.
+#include <algorithm>
 #include <cstdio>
 
 #include "dcdl/common/flags.hpp"
@@ -88,12 +89,15 @@ int main(int argc, char** argv) {
     } else {
       plan.apply_naive(net, 1_ms, 1_ms, /*seed=*/2);  // unlucky order
     }
+    // The update lands in [1 ms, 2 ms]; watch for a loop a little past it,
+    // then run on to the horizon (never short of the window).
+    const Time window_end = 2_ms + 100_us;
     bool loop_seen = false;
-    for (Time at = 1_ms; at <= 2_ms + 100_us; at += 20_us) {
+    for (Time at = 1_ms; at <= window_end; at += 20_us) {
       sim.run_until(at);
       loop_seen |= routing::find_forwarding_loop(net, dst).has_value();
     }
-    sim.run_until(run_for);
+    sim.run_until(std::max(run_for, window_end));
     const auto drain = analysis::stop_and_drain(net, 20_ms);
     csv.row({ordered ? "ordered" : "naive",
              stats::CsvWriter::num(std::int64_t{loop_seen}),

@@ -11,8 +11,8 @@
 //   $ ./dcdl_report --dir out/ > report.md
 //
 // Inputs, all produced by dcdl_sweep/dcdl_sim:
-//   * run_NNNNN.timeseries.jsonl / <scenario>.timeseries.jsonl — the
-//     dcdl.timeseries.v1 artifacts (series + histograms);
+//   * run_NNNNN.timeseries.jsonl — the dcdl.timeseries.v1 artifacts
+//     (series + histograms);
 //   * a dcdl.campaign.v* JSON (auto-detected in --dir, or named explicitly
 //     with --json) for the per-run scenario/params/goodput/detection table.
 //

@@ -9,7 +9,6 @@
 
 #include "dcdl/analysis/deadlock.hpp"
 #include "dcdl/common/contract.hpp"
-#include "dcdl/dataplane/dataplane.hpp"
 #include "dcdl/forensics/forensics.hpp"
 #include "dcdl/probe/export.hpp"
 #include "dcdl/probe/probe.hpp"
@@ -62,7 +61,7 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 
 RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
                       const std::atomic<bool>* cancel,
-                      const ExecutorOptions& opts) {
+                      const ExecutorOptions& opts, RunDetail* detail) {
   RunRecord rec;
   rec.run_index = spec.run_index;
   rec.cell_index = spec.cell_index;
@@ -116,6 +115,10 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     if (opts.hybrid.mode != hybrid::Mode::kOff) {
       hybrid_ctl = std::make_unique<hybrid::HybridController>(
           *s.net, s.flows, opts.hybrid);
+      if (detail != nullptr) {
+        detail->hybrid_regions = hybrid_ctl->num_regions();
+        detail->hybrid_fluid_at_start = hybrid_ctl->fluid_flows();
+      }
     }
 
     // Always-on time-series probe: samples at opts.probe_interval on the
@@ -169,36 +172,10 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     // metric capture interposed between the measured run and the drain.
     analysis::DeadlockMonitor monitor(*s.net, Time{50'000'000},
                                       spec.monitor_dwell);
-    // In-band dataplane pipeline capture (schema v3 columns). Every
-    // recovery re-arms the centralized monitor so a second deadlock in the
-    // same run is still confirmed. The hook fires on the thread driving
-    // the run — inline at one shard, during the barrier replay at two or
-    // more — where re-arming the monitor (scheduling its next poll on the
-    // control simulator) is safe.
-    std::optional<Time> dp_first_confirm;
-    std::optional<Time> dp_first_recover;
-    std::uint64_t dp_confirms = 0;
-    std::uint64_t dp_recoveries = 0;
-    if (s.net->config().dataplane.enabled()) {
-      stats::append_hook(
-          s.net->trace().dataplane,
-          [&](Time t, NodeId, dataplane::DataplaneEvent ev, ClassId,
-              std::uint64_t) {
-            switch (ev) {
-              case dataplane::DataplaneEvent::kConfirmed:
-                ++dp_confirms;
-                if (!dp_first_confirm) dp_first_confirm = t;
-                break;
-              case dataplane::DataplaneEvent::kRecovered:
-                ++dp_recoveries;
-                if (!dp_first_recover) dp_first_recover = t;
-                monitor.rearm();
-                break;
-              default:
-                break;
-            }
-          });
-    }
+    // In-band dataplane pipeline capture (schema v3 columns); every
+    // recovery re-arms the centralized monitor.
+    scenarios::DataplaneSummary dp;
+    scenarios::capture_dataplane(*s.net, monitor, dp);
     std::string post_mortem;
     if (recorder != nullptr) {
       monitor.set_on_confirmed(
@@ -233,6 +210,7 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
       rec.hybrid_mode = hybrid::to_string(opts.hybrid.mode);
       rec.zoom_events = hybrid_ctl->stats().zoom_events;
       rec.fluid_fraction = hybrid_ctl->stats().fluid_fraction;
+      if (detail != nullptr) detail->hybrid = hybrid_ctl->stats();
     }
 
     std::int64_t total = 0;
@@ -257,10 +235,14 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     rec.probe = run_probe.summary();
     rec.alerts = run_watch.summary();
     std::string timeseries;
+    std::string counters;
     std::string alerts_jsonl;
+    std::string alerts_perfetto;
     if (recorder != nullptr) {
       timeseries = probe::to_timeseries_jsonl(run_probe);
+      counters = probe::to_perfetto_counters(run_probe);
       alerts_jsonl = watch::to_alerts_jsonl(run_watch, *s.topo);
+      alerts_perfetto = watch::to_perfetto_alerts(run_watch, *s.topo);
     }
     rec.status = RunStatus::kOk;  // finisher sees a complete core record
     if (finish) finish(rec, rec.metrics);
@@ -282,12 +264,12 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
       }
     }
     rec.events = sim->events_executed();
-    if (dp_first_confirm) rec.detection_latency_ns = dp_first_confirm->ns();
-    if (dp_first_confirm && dp_first_recover) {
-      rec.recovery_time_ns = (*dp_first_recover - *dp_first_confirm).ns();
+    if (dp.detected_at) rec.detection_latency_ns = dp.detected_at->ns();
+    if (dp.detected_at && dp.recovered_at) {
+      rec.recovery_time_ns = (*dp.recovered_at - *dp.detected_at).ns();
     }
     rec.false_positive =
-        dp_confirms > 0 && !rec.deadlocked && dp_recoveries == 0;
+        dp.confirms > 0 && !rec.deadlocked && dp.recoveries == 0;
 
     // Post-hoc forensics over the complete pause history (measured window
     // plus drain): the causality DAG, trigger attribution, and cascade
@@ -299,7 +281,7 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     if (monitor.detected_at()) {
       causal.deadlock_at_ps = monitor.detected_at()->ps();
     }
-    const forensics::CascadeReport cascade = forensics::analyze(causal);
+    forensics::CascadeReport cascade = forensics::analyze(causal);
     {
       telemetry::MetricsRegistry forensics_reg;
       const forensics::CascadeMetricIds ids =
@@ -332,7 +314,9 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
       write_text_file(stem + ".telemetry.jsonl",
                       telemetry::to_jsonl(*s.topo, window));
       write_text_file(stem + ".timeseries.jsonl", timeseries);
+      write_text_file(stem + ".counters.json", counters);
       write_text_file(stem + ".alerts.jsonl", alerts_jsonl);
+      write_text_file(stem + ".alerts.perfetto.json", alerts_perfetto);
       write_text_file(stem + ".forensics.txt",
                       forensics::to_text(cascade));
       write_text_file(stem + ".forensics.dot",
@@ -340,6 +324,14 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
       if (!post_mortem.empty()) {
         write_text_file(stem + ".postmortem.jsonl", post_mortem);
       }
+      if (detail != nullptr) {
+        detail->trace_records = window.size();
+        detail->trace_recorded = recorder->total_recorded();
+      }
+    }
+    if (detail != nullptr) {
+      detail->forensics = std::move(cascade);
+      detail->dataplane = dp;
     }
   } catch (const std::exception& e) {
     rec.status = RunStatus::kFailed;

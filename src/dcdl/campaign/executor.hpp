@@ -19,6 +19,7 @@
 #include <functional>
 
 #include "dcdl/campaign/result.hpp"
+#include "dcdl/forensics/causality.hpp"
 #include "dcdl/hybrid/hybrid.hpp"
 #include "dcdl/watch/watch.hpp"
 
@@ -51,7 +52,8 @@ struct ExecutorOptions {
   /// control sim), so its events land at window barriers and the series
   /// are byte-identical across --jobs and --shards. Every ok record
   /// carries the probe summary (schema v5); with trace_dir set, each run
-  /// additionally writes `run_NNNNN.timeseries.jsonl`.
+  /// additionally writes `run_NNNNN.timeseries.jsonl` and
+  /// `run_NNNNN.counters.json`.
   Time probe_interval = Time{100'000'000};  // 100 us
   /// Ring capacity (ticks) of each run's time-series store. At the default
   /// 100 us interval this covers 409.6 ms of history — longer runs keep the
@@ -61,19 +63,25 @@ struct ExecutorOptions {
   /// is always on and rides the externally visible simulator, so the alert
   /// stream is byte-identical across --jobs and --shards. Every ok
   /// record carries the alert summary (schema v6); with trace_dir set,
-  /// each run additionally writes `run_NNNNN.alerts.jsonl`.
+  /// each run additionally writes `run_NNNNN.alerts.jsonl` and
+  /// `run_NNNNN.alerts.perfetto.json`.
   watch::WatchOptions watch;
   /// Progress callback, invoked under a lock after each run completes.
   std::function<void(const RunRecord&)> on_run_done;
 
-  /// Non-empty: every run attaches a flight recorder and writes
-  /// `run_NNNNN.trace.json` (Perfetto) + `run_NNNNN.telemetry.jsonl` +
-  /// `run_NNNNN.timeseries.jsonl` (dcdl.timeseries.v1) +
-  /// `run_NNNNN.alerts.jsonl` (dcdl.alerts.v1) into
-  /// this existing directory; a run whose deadlock monitor confirms a cycle
-  /// additionally writes `run_NNNNN.postmortem.jsonl` with the last-events
-  /// window captured at the detection instant. One file set per run_index,
-  /// so artifacts are identical across --jobs counts.
+  /// Non-empty: every run attaches a flight recorder and writes into this
+  /// existing directory, one file set per run_index (so artifacts are
+  /// identical across --jobs counts):
+  ///   `run_NNNNN.trace.json`            Perfetto trace with pause arrows
+  ///   `run_NNNNN.telemetry.jsonl`       dcdl.telemetry.v1, replayable
+  ///   `run_NNNNN.forensics.{txt,dot}`   whole-run post-mortem
+  ///   `run_NNNNN.timeseries.jsonl`      dcdl.timeseries.v1
+  ///   `run_NNNNN.counters.json`         probe series as Perfetto counters
+  ///   `run_NNNNN.alerts.jsonl`          dcdl.alerts.v1
+  ///   `run_NNNNN.alerts.perfetto.json`  alert instants for the timeline
+  /// A run whose deadlock monitor confirms a cycle additionally writes
+  /// `run_NNNNN.postmortem.jsonl` with the last-events window captured at
+  /// the detection instant.
   std::string trace_dir;
   /// Flight-recorder ring capacity (records) when trace_dir is set.
   std::size_t trace_capacity = 1u << 16;
@@ -81,13 +89,33 @@ struct ExecutorOptions {
   std::size_t post_mortem_window = 4096;
 };
 
+/// What a run computes but its record does not serialize, for a front end
+/// that prints a whole-run report. Filled for an ok run only.
+struct RunDetail {
+  /// Forensic post-mortem over the whole pause history (run plus drain).
+  forensics::CascadeReport forensics;
+  /// In-band dataplane pipeline over the run and the drain.
+  scenarios::DataplaneSummary dataplane;
+  /// Hybrid engine (mode on only): regions and fluid flows at t=0, and the
+  /// stats closed at stop time.
+  int hybrid_regions = 0;
+  std::size_t hybrid_fluid_at_start = 0;
+  hybrid::HybridStats hybrid;
+  /// Flight recorder (trace_dir set only): records in the exported window
+  /// and records ever written.
+  std::size_t trace_records = 0;
+  std::uint64_t trace_recorded = 0;
+};
+
 /// Executes one spec synchronously on the calling thread. This is both the
 /// worker body and the standalone single-cell reproduction entry point: the
 /// record it returns is identical to the one a campaign produces for the
-/// same spec (pass cancel = nullptr for standalone use).
+/// same spec (pass cancel = nullptr for standalone use). A non-null
+/// `detail` receives what the record leaves out.
 RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
                       const std::atomic<bool>* cancel = nullptr,
-                      const ExecutorOptions& opts = {});
+                      const ExecutorOptions& opts = {},
+                      RunDetail* detail = nullptr);
 
 class CampaignExecutor {
  public:

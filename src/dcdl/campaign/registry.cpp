@@ -364,11 +364,50 @@ void register_incast(ScenarioRegistry& reg) {
   reg.add(std::move(def));
 }
 
+/// One "family" of a twin scenario: the registered definition whose `make`
+/// builds the packet run, plus knobs it defaults differently.
+struct Family {
+  std::string name;
+  std::string base;
+  ParamMap defaults;  ///< applied where the run leaves a knob unset
+};
+
+/// A factory that dispatches on the "family" param to the base
+/// definitions' own `make`, so a twin scenario builds exactly the network
+/// its base scenario does. The bases must be registered first.
+std::function<Scenario(const ParamMap&)> family_make(
+    const ScenarioRegistry& reg, const std::string& scenario,
+    const std::string& fallback, const std::vector<Family>& families) {
+  std::vector<std::pair<Family, std::function<Scenario(const ParamMap&)>>>
+      table;
+  std::string known;
+  for (const Family& f : families) {
+    table.emplace_back(f, reg.at(f.base).make);
+    known += (known.empty() ? "" : " | ") + f.name;
+  }
+  return [=](const ParamMap& pm) {
+    const std::string family = pm.get_string("family", fallback);
+    for (const auto& [f, make] : table) {
+      if (f.name != family) continue;
+      ParamMap params = pm;
+      for (const auto& [name, value] : f.defaults.items()) {
+        if (!params.has(name)) params.set(name, value);
+      }
+      return make(params);
+    }
+    throw CampaignError(scenario + ": unknown family '" + family + "' (" +
+                        known + ")");
+  };
+}
+
 // bench_fluid_model as a campaign scenario: the packet run fills the main
 // columns (deadlocked, detect_ms, goodput); the fluid twin of the same
 // configuration is integrated inside the finisher and lands in the metrics,
 // so one CSV row holds both verdicts and the §3.2 gap is a column diff.
 void register_fluid_gap(ScenarioRegistry& reg) {
+  // The four_switch twin is Fig. 4 unless the run turns flow 3 off.
+  ParamMap fig4_default;
+  fig4_default.set("with_flow3", ParamValue::of_bool(true));
   ScenarioDef def;
   def.name = "fluid_gap";
   def.description =
@@ -378,37 +417,16 @@ void register_fluid_gap(ScenarioRegistry& reg) {
       {"family", ParamKind::kString, "", "loop | four_switch"},
       {"loop_len", ParamKind::kInt, "", "loop: switches in the routing loop"},
       {"inject", ParamKind::kDouble, "gbps", "loop: injection rate"},
-      {"ttl", ParamKind::kInt, "", "loop: initial packet TTL"},
+      {"ttl", ParamKind::kInt, "", "initial packet TTL"},
       {"bw_gbps", ParamKind::kDouble, "gbps", "link bandwidth"},
       {"with_flow3", ParamKind::kBool, "", "four_switch: add the Fig.4 flow"},
       {"flow3_limit", ParamKind::kDouble, "gbps",
        "four_switch: flow-3 ingress limit; 0 = greedy"},
       {"fluid_run_ms", ParamKind::kDouble, "ms", "fluid integration horizon"},
   };
-  def.make = [](const ParamMap& pm) {
-    const std::string family = pm.get_string("family", "loop");
-    if (family == "loop") {
-      scenarios::RoutingLoopParams p;
-      p.loop_len = static_cast<int>(pm.get_int("loop_len", p.loop_len));
-      p.bandwidth =
-          Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
-      p.ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
-      p.inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
-      return scenarios::make_routing_loop(p);
-    }
-    if (family == "four_switch") {
-      scenarios::FourSwitchParams p;
-      p.with_flow3 = pm.get_bool("with_flow3", true);
-      p.flow3_limit =
-          Rate::gbps(pm.get_double("flow3_limit", p.flow3_limit.as_gbps()));
-      p.bandwidth =
-          Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
-      p.seed = static_cast<std::uint64_t>(pm.get_int("seed", 1));
-      return scenarios::make_four_switch(p);
-    }
-    throw CampaignError("fluid_gap: unknown family '" + family +
-                        "' (loop | four_switch)");
-  };
+  def.make = family_make(reg, "fluid_gap", "loop",
+                         {{"loop", "routing_loop", {}},
+                          {"four_switch", "four_switch", fig4_default}});
   def.instrument = [](Scenario&, const ParamMap& pm) -> ScenarioDef::Finisher {
     return [pm](const RunRecord&, MetricSink& out) {
       const std::string family = pm.get_string("family", "loop");
@@ -416,24 +434,17 @@ void register_fluid_gap(ScenarioRegistry& reg) {
           pm.get_double("fluid_run_ms", 10.0) * 1e9)};
       analysis::FluidResult fr;
       if (family == "loop") {
-        scenarios::RoutingLoopParams p;
-        const int loop_len =
-            static_cast<int>(pm.get_int("loop_len", p.loop_len));
-        const Rate bw =
-            Rate::gbps(pm.get_double("bw_gbps", p.bandwidth.as_gbps()));
-        const int ttl = static_cast<int>(pm.get_int("ttl", p.ttl));
-        const Rate inject =
-            Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
-        analysis::FluidModel fm =
-            analysis::make_fluid_routing_loop(loop_len, bw, ttl, inject);
+        const scenarios::RoutingLoopParams p = loop_params(pm);
+        analysis::FluidModel fm = analysis::make_fluid_routing_loop(
+            p.loop_len, p.bandwidth, p.ttl, p.inject);
         fr = fm.run(horizon);
         out.emplace_back("r_threshold_gbps",
                          analysis::BoundaryModel::deadlock_threshold(
-                             loop_len, bw, ttl)
+                             p.loop_len, p.bandwidth, p.ttl)
                              .as_gbps());
         out.emplace_back("analytic_deadlock",
                          analysis::BoundaryModel::predicts_deadlock(
-                             loop_len, bw, ttl, inject)
+                             p.loop_len, p.bandwidth, p.ttl, p.inject)
                              ? 1
                              : 0);
       } else {
@@ -477,47 +488,19 @@ void register_risk_probe(ScenarioRegistry& reg) {
       {"with_extra_flow", ParamKind::kBool, "", "valley: add the tipping flow"},
       {"inject", ParamKind::kDouble, "gbps", "loop: injection rate"},
   };
-  def.make = [](const ParamMap& pm) {
-    const std::string family = pm.get_string("family", "four_switch");
-    const auto seed = static_cast<std::uint64_t>(pm.get_int("seed", 1));
-    if (family == "four_switch") {
-      scenarios::FourSwitchParams p;
-      p.with_flow3 = pm.get_bool("with_flow3", p.with_flow3);
-      p.flow3_limit =
-          Rate::gbps(pm.get_double("flow3_limit", p.flow3_limit.as_gbps()));
-      p.seed = seed;
-      return scenarios::make_four_switch(p);
-    }
-    if (family == "loop") {
-      scenarios::RoutingLoopParams p;
-      p.inject = Rate::gbps(pm.get_double("inject", p.inject.as_gbps()));
-      return scenarios::make_routing_loop(p);
-    }
-    if (family == "ring") {
-      scenarios::RingDeadlockParams p;
-      p.seed = seed;
-      return scenarios::make_ring_deadlock(p);
-    }
-    if (family == "incast") {
-      return scenarios::make_incast(scenarios::IncastParams{});
-    }
-    if (family == "valley") {
-      scenarios::ValleyViolationParams p;
-      p.with_extra_flow = pm.get_bool("with_extra_flow", p.with_extra_flow);
-      p.seed = seed;
-      return scenarios::make_valley_violation(p);
-    }
-    throw CampaignError("risk_probe: unknown family '" + family +
-                        "' (four_switch | loop | ring | incast | valley)");
-  };
+  def.make = family_make(reg, "risk_probe", "four_switch",
+                         {{"four_switch", "four_switch", {}},
+                          {"loop", "routing_loop", {}},
+                          {"ring", "ring", {}},
+                          {"incast", "incast", {}},
+                          {"valley", "valley", {}}});
   def.instrument = [](Scenario& s, const ParamMap& pm) {
     // Assess at t=0, before any packet moves — the same vantage point the
     // standalone bench uses. Demands mirror the knobs that cap flows.
     const std::string family = pm.get_string("family", "four_switch");
     std::vector<Rate> demands;
     if (family == "loop") {
-      demands = {Rate::gbps(pm.get_double(
-          "inject", scenarios::RoutingLoopParams{}.inject.as_gbps()))};
+      demands = {loop_params(pm).inject};
     } else if (family == "four_switch") {
       const double limit = pm.get_double("flow3_limit", 0.0);
       if (pm.get_bool("with_flow3", false) && limit > 0) {

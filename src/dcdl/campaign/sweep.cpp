@@ -39,8 +39,14 @@ std::vector<RunSpec> expand(const SweepSpec& spec) {
     throw CampaignError("run_for must be > 0 (got " +
                         std::to_string(spec.run_for.ps()) + " ps)");
   }
+  // Every run's "seed" param is derived from root_seed; a fixed one would
+  // be overwritten without a word.
+  const char* const kSeedOwned =
+      "'seed' is derived per run from the root seed; set --root_seed instead";
+  if (spec.base.has("seed")) throw CampaignError(kSeedOwned);
   std::size_t cells = 1;
   for (const GridAxis& axis : spec.axes) {
+    if (axis.param == "seed") throw CampaignError(kSeedOwned);
     if (axis.values.empty()) {
       throw CampaignError("axis '" + axis.param + "' has no values");
     }

@@ -61,7 +61,8 @@ struct RunSpec {
 std::uint64_t derive_seed(std::uint64_t root_seed, int run_index);
 
 /// Cartesian expansion; throws CampaignError on an empty axis, a
-/// non-positive seed count or a non-positive horizon.
+/// non-positive seed count, a non-positive horizon, or a "seed" in `base`
+/// or an axis (each run's seed is derived from root_seed).
 std::vector<RunSpec> expand(const SweepSpec& spec);
 
 /// Parses a grid description, the CLI/bench surface for sweeps:

@@ -57,7 +57,6 @@
 #include "dcdl/stats/latency.hpp"
 #include "dcdl/stats/pause_log.hpp"
 #include "dcdl/stats/sampler.hpp"
-#include "dcdl/stats/throughput.hpp"
 
 #include "dcdl/telemetry/telemetry.hpp"
 

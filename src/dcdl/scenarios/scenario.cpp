@@ -433,45 +433,43 @@ Scenario make_incast(const IncastParams& p) {
   return s;
 }
 
-RunSummary run_and_check(
-    Scenario& s, Time run_for, Time drain_grace, Time monitor_dwell,
-    std::function<void(const analysis::DeadlockMonitor&)> on_confirmed) {
-  analysis::DeadlockMonitor monitor(*s.net, Time{50'000'000}, monitor_dwell);
-  if (on_confirmed) monitor.set_on_confirmed(std::move(on_confirmed));
+void capture_dataplane(Network& net, analysis::DeadlockMonitor& monitor,
+                       DataplaneSummary& out) {
+  if (!net.config().dataplane.enabled()) return;
+  stats::append_hook(
+      net.trace().dataplane,
+      [&out, &monitor](Time t, NodeId n, dataplane::DataplaneEvent e,
+                       ClassId, std::uint64_t) {
+        switch (e) {
+          case dataplane::DataplaneEvent::kCandidate:
+            ++out.candidates;
+            break;
+          case dataplane::DataplaneEvent::kConfirmed:
+            ++out.confirms;
+            if (!out.detected_at) {
+              out.detected_at = t;
+              out.trigger = n;
+            }
+            break;
+          case dataplane::DataplaneEvent::kRecovered:
+            ++out.recoveries;
+            if (!out.recovered_at) out.recovered_at = t;
+            monitor.rearm();
+            break;
+          case dataplane::DataplaneEvent::kFalseAlarm:
+            ++out.false_alarms;
+            break;
+          case dataplane::DataplaneEvent::kRearmed:
+            break;
+        }
+      });
+}
+
+RunSummary run_and_check(Scenario& s, Time run_for, Time drain_grace) {
+  analysis::DeadlockMonitor monitor(*s.net, Time{50'000'000},
+                                    Time{1'000'000'000});
   RunSummary out;
-  if (s.net->config().dataplane.enabled()) {
-    // Capture the pipeline's instants/counts and re-arm the centralized
-    // monitor after every in-band recovery so a second deadlock in the
-    // same run is still confirmed. `out` and `monitor` outlive the run and
-    // the drain, the only phases in which this hook can fire.
-    stats::append_hook(
-        s.net->trace().dataplane,
-        [&out, &monitor](Time t, NodeId n, dataplane::DataplaneEvent e,
-                         ClassId, std::uint64_t) {
-          switch (e) {
-            case dataplane::DataplaneEvent::kCandidate:
-              ++out.dp_candidates;
-              break;
-            case dataplane::DataplaneEvent::kConfirmed:
-              ++out.dp_confirms;
-              if (!out.dp_detected_at) {
-                out.dp_detected_at = t;
-                out.dp_trigger = n;
-              }
-              break;
-            case dataplane::DataplaneEvent::kRecovered:
-              ++out.dp_recoveries;
-              if (!out.dp_recovered_at) out.dp_recovered_at = t;
-              monitor.rearm();
-              break;
-            case dataplane::DataplaneEvent::kFalseAlarm:
-              ++out.dp_false_alarms;
-              break;
-            case dataplane::DataplaneEvent::kRearmed:
-              break;
-          }
-        });
-  }
+  capture_dataplane(*s.net, monitor, out.dp);
   const Time start = s.sim->now();
   monitor.start(start, start + run_for + drain_grace);
   s.sim->run_until(start + run_for);

@@ -4,7 +4,6 @@
 // reproduced numbers come from one implementation of each setup.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -187,6 +186,32 @@ struct ValleyViolationParams {
 };
 Scenario make_valley_violation(const ValleyViolationParams& params);
 
+/// The in-band dataplane pipeline's events over one run (all empty/zero
+/// when it is off).
+struct DataplaneSummary {
+  /// First in-band confirmation instant and the switch that confirmed (the
+  /// pipeline's initial-trigger attribution — cross-check it against the
+  /// offline forensics report).
+  std::optional<Time> detected_at;
+  std::optional<NodeId> trigger;
+  /// First recovery-action instant (recovery latency = this minus
+  /// detected_at).
+  std::optional<Time> recovered_at;
+  std::uint64_t candidates = 0;
+  std::uint64_t confirms = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t false_alarms = 0;
+};
+
+/// When `net`'s dataplane pipeline is enabled, chains a hook that fills
+/// `out` and re-arms `monitor` after every in-band recovery, so a second
+/// deadlock in the same run is still confirmed. The hook fires on the
+/// thread driving the run — inline at one shard, during the barrier replay
+/// at two or more — where re-arming the monitor is safe. `out` and
+/// `monitor` must outlive the run and its drain.
+void capture_dataplane(Network& net, analysis::DeadlockMonitor& monitor,
+                       DataplaneSummary& out);
+
 /// Summary of one run: online wait-for detection plus the paper's
 /// stop-and-drain criterion.
 struct RunSummary {
@@ -198,34 +223,14 @@ struct RunSummary {
   std::int64_t trapped_bytes = 0;
   /// Per-flow delivered bytes at the moment flows were stopped.
   std::vector<std::pair<FlowId, std::int64_t>> delivered;
-
-  // --- In-band dataplane pipeline (all empty/zero when it is off) ---
-  /// First in-band confirmation instant and the switch that confirmed (the
-  /// pipeline's initial-trigger attribution — cross-check it against the
-  /// offline forensics report).
-  std::optional<Time> dp_detected_at;
-  std::optional<NodeId> dp_trigger;
-  /// First recovery-action instant (recovery latency = this minus
-  /// dp_detected_at).
-  std::optional<Time> dp_recovered_at;
-  std::uint64_t dp_candidates = 0;
-  std::uint64_t dp_confirms = 0;
-  std::uint64_t dp_recoveries = 0;
-  std::uint64_t dp_false_alarms = 0;
+  /// In-band dataplane pipeline, captured over the run and the drain.
+  DataplaneSummary dp;
 };
 
 /// Runs the scenario for `run_for`, then stops all flows and drains for
-/// `drain_grace`; reports deadlock per both detectors. `on_confirmed`, when
-/// set, fires at the simulated instant the online monitor confirms the
-/// wait-for cycle (cycle()/detected_at() filled in) — the hook the
-/// forensics layer uses to capture a post-mortem before the drain phase
-/// perturbs the queues. When the scenario's dataplane pipeline is enabled,
-/// its events are captured into the summary's dp_* fields and every
-/// recovery re-arms the centralized monitor, so a later second deadlock in
-/// the same run is still confirmed.
-RunSummary run_and_check(
-    Scenario& s, Time run_for, Time drain_grace,
-    Time monitor_dwell = Time{1'000'000'000},
-    std::function<void(const analysis::DeadlockMonitor&)> on_confirmed = {});
+/// `drain_grace`; reports deadlock per both detectors (the online monitor
+/// confirms a wait-for cycle after a 1 ms dwell). The dataplane pipeline,
+/// when enabled, is captured into `dp` (see capture_dataplane).
+RunSummary run_and_check(Scenario& s, Time run_for, Time drain_grace);
 
 }  // namespace dcdl::scenarios

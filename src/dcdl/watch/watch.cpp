@@ -46,9 +46,7 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
   if (opts_.rules.empty()) opts_.rules = default_rules();
   engine_ = std::make_unique<RuleEngine>(opts_.rules, names_,
                                          opts_.max_events);
-  engine_->set_on_event([this](const AlertEvent& ev) {
-    if (on_event_) on_event_(ev);
-  });
+  if (opts_.on_event) engine_->set_on_event(opts_.on_event);
 
   const Topology& topo = net_.topo();
   node_open_.assign(topo.node_count(), 0);
@@ -180,7 +178,7 @@ void RunWatch::tick(Time t) {
                   : pause_node;
 
   engine_->step(t, values_, hot_node_);
-  if (on_tick_) on_tick_(t, *this);
+  if (opts_.on_tick) opts_.on_tick(t, *this);
 }
 
 std::vector<std::pair<std::string, double>> RunWatch::summary() const {

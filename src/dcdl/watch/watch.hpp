@@ -54,6 +54,8 @@
 
 namespace dcdl::watch {
 
+class RunWatch;
+
 struct WatchOptions {
   /// Sampling cadence; ticks fire at start + k * interval.
   Time interval = Time{100'000'000};  // 100 us
@@ -66,6 +68,12 @@ struct WatchOptions {
   std::vector<AlertRule> rules;
   /// Retained alert edges (overflow counted, not stored).
   std::size_t max_events = 4096;
+  /// Live observers, for status lines and log streaming. on_tick fires
+  /// after every sample (signals and rule states updated); on_event fires
+  /// at every emitted alert edge. Both run on the thread driving the run,
+  /// so a campaign with several jobs calls them concurrently.
+  std::function<void(Time, const RunWatch&)> on_tick;
+  std::function<void(const AlertEvent&)> on_event;
 };
 
 class RunWatch {
@@ -81,16 +89,6 @@ class RunWatch {
   /// Schedules the sampler on `sim`: ticks at now + k*interval up to and
   /// including `until`.
   void start(Simulator& sim, Time until);
-
-  /// Live observers, for status lines and log streaming. on_tick fires
-  /// after every sample (signals and rule states updated); on_event fires
-  /// at every emitted alert edge.
-  void set_on_tick(std::function<void(Time, const RunWatch&)> fn) {
-    on_tick_ = std::move(fn);
-  }
-  void set_on_event(std::function<void(const AlertEvent&)> fn) {
-    on_event_ = std::move(fn);
-  }
 
   const std::vector<std::string>& signal_names() const { return names_; }
   /// Last sampled values, indexed like signal_names().
@@ -130,9 +128,6 @@ class RunWatch {
   Time start_ = Time::zero();
   std::uint64_t ticks_ = 0;
   std::int64_t hot_node_ = -1;
-
-  std::function<void(Time, const RunWatch&)> on_tick_;
-  std::function<void(const AlertEvent&)> on_event_;
 
   // Pause tracking (chained pfc_state observer).
   std::unordered_map<std::uint64_t, Time> open_xoff_;

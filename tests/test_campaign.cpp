@@ -99,6 +99,24 @@ TEST(CampaignSweep, ExpandRejectsNonPositiveHorizon) {
   EXPECT_EQ(expand(spec).size(), 1u);
 }
 
+TEST(CampaignSweep, ExpandRejectsAFixedSeed) {
+  // Each run's seed is derived from root_seed; a fixed one used to be
+  // overwritten without a word.
+  SweepSpec spec;
+  spec.scenario = "four_switch";
+  spec.base.set("seed", ParamValue::of_int(1));
+  EXPECT_THROW(expand(spec), CampaignError);
+  spec.base = ParamMap{};
+  spec.axes = parse_grid("seed=1,2");
+  EXPECT_THROW(expand(spec), CampaignError);
+  try {
+    expand(spec);
+  } catch (const CampaignError& e) {
+    EXPECT_NE(std::string(e.what()).find("--root_seed"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CampaignSweep, SeedStreamIsDeterministicAndSpread) {
   EXPECT_EQ(derive_seed(1, 0), derive_seed(1, 0));
   EXPECT_NE(derive_seed(1, 0), derive_seed(1, 1));
@@ -154,6 +172,71 @@ TEST(CampaignRegistry, DuplicateAddThrowsReplaceWins) {
   dup.make = [](const ParamMap&) { return scenarios::Scenario{}; };
   EXPECT_THROW(reg.add(dup), CampaignError);
   EXPECT_NO_THROW(reg.replace(dup));
+}
+
+RunRecord run_builtin(const std::string& scenario, const std::string& sets) {
+  ScenarioRegistry reg;
+  register_builtin_scenarios(reg);
+  RunSpec spec;
+  spec.scenario = scenario;
+  apply_sets(spec.params, sets);
+  spec.run_for = 4_ms;
+  spec.drain_grace = 10_ms;
+  return execute_run(reg, spec);
+}
+
+double metric(const RunRecord& rec, const std::string& name) {
+  for (const auto& [key, value] : rec.metrics) {
+    if (key == name) return value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
+}
+
+TEST(CampaignRegistry, FluidGapLoopTwinsAgreeAcrossTheBoundary) {
+  // Eq. 3 puts the default loop's boundary at 5 Gbps: both the packet run
+  // and its fluid twin deadlock above it and neither does below.
+  const RunRecord above = run_builtin("fluid_gap", "family=loop;inject=8");
+  ASSERT_EQ(above.status, RunStatus::kOk) << above.error;
+  EXPECT_EQ(metric(above, "fluid_deadlocked"), 1);
+  EXPECT_TRUE(above.deadlocked);
+  const RunRecord below = run_builtin("fluid_gap", "family=loop;inject=4");
+  ASSERT_EQ(below.status, RunStatus::kOk) << below.error;
+  EXPECT_EQ(metric(below, "fluid_deadlocked"), 0);
+  EXPECT_FALSE(below.deadlocked);
+}
+
+TEST(CampaignRegistry, FluidGapFourSwitchTwinIsFig4) {
+  // The four_switch family defaults flow 3 on, and its fluid twin is the
+  // paper's §3.2 case: the fluid model predicts no deadlock.
+  const RunRecord rec = run_builtin("fluid_gap", "family=four_switch");
+  ASSERT_EQ(rec.status, RunStatus::kOk) << rec.error;
+  EXPECT_EQ(metric(rec, "fluid_deadlocked"), 0);
+  ASSERT_EQ(rec.delivered.size(), 3u) << "flow 3 must be on by default";
+}
+
+TEST(CampaignRegistry, TwinFamiliesBuildTheirBaseScenario) {
+  // fluid_gap and risk_probe build through the base definitions' own make,
+  // so a family run is the base scenario's run, event for event.
+  const RunRecord base = run_builtin("four_switch", "with_flow3=true");
+  for (const auto& [twin, sets] :
+       {std::pair{"fluid_gap", "family=four_switch"},
+        std::pair{"risk_probe", "family=four_switch;with_flow3=true"}}) {
+    const RunRecord rec = run_builtin(twin, sets);
+    ASSERT_EQ(rec.status, RunStatus::kOk) << twin << ": " << rec.error;
+    EXPECT_EQ(rec.events, base.events) << twin;
+    EXPECT_EQ(rec.delivered, base.delivered) << twin;
+    EXPECT_EQ(rec.pause_assertions, base.pause_assertions) << twin;
+  }
+}
+
+TEST(CampaignRegistry, RiskProbeLoopPredictsTheEq3Boundary) {
+  const RunRecord above = run_builtin("risk_probe", "family=loop;inject=6");
+  ASSERT_EQ(above.status, RunStatus::kOk) << above.error;
+  EXPECT_EQ(metric(above, "predicted_lockable"), 1);
+  const RunRecord below = run_builtin("risk_probe", "family=loop;inject=4");
+  ASSERT_EQ(below.status, RunStatus::kOk) << below.error;
+  EXPECT_EQ(metric(below, "predicted_lockable"), 0);
 }
 
 // -------------------------------------------------------------- executor

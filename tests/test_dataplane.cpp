@@ -169,18 +169,18 @@ TEST(DataplaneDetection, RoutingLoopDetectsAtTheForensicTriggerSwitch) {
   const RunSummary r = scenarios::run_and_check(s, 10_ms, 10_ms);
 
   EXPECT_TRUE(r.deadlocked) << "detect-only policy never intervenes";
-  ASSERT_TRUE(r.dp_detected_at.has_value());
-  ASSERT_TRUE(r.dp_trigger.has_value());
-  EXPECT_GE(r.dp_confirms, 1u);
-  EXPECT_EQ(r.dp_recoveries, 0u);
+  ASSERT_TRUE(r.dp.detected_at.has_value());
+  ASSERT_TRUE(r.dp.trigger.has_value());
+  EXPECT_GE(r.dp.confirms, 1u);
+  EXPECT_EQ(r.dp.recoveries, 0u);
   // In-band detection beats the centralized monitor (50 us poll + 1 ms
   // dwell) to the verdict.
   ASSERT_TRUE(r.detected_at.has_value());
-  EXPECT_LT(*r.dp_detected_at, *r.detected_at);
+  EXPECT_LT(*r.dp.detected_at, *r.detected_at);
 
   const std::optional<NodeId> offline = forensic_trigger(s, pauses, r);
   ASSERT_TRUE(offline.has_value());
-  EXPECT_EQ(*r.dp_trigger, *offline)
+  EXPECT_EQ(*r.dp.trigger, *offline)
       << "in-band trigger attribution disagrees with offline forensics";
 }
 
@@ -192,12 +192,12 @@ TEST(DataplaneDetection, ValleyCascadeDetectsAtTheForensicTriggerSwitch) {
   const RunSummary r = scenarios::run_and_check(s, 20_ms, 10_ms);
 
   EXPECT_TRUE(r.deadlocked);
-  ASSERT_TRUE(r.dp_detected_at.has_value());
-  ASSERT_TRUE(r.dp_trigger.has_value());
+  ASSERT_TRUE(r.dp.detected_at.has_value());
+  ASSERT_TRUE(r.dp.trigger.has_value());
 
   const std::optional<NodeId> offline = forensic_trigger(s, pauses, r);
   ASSERT_TRUE(offline.has_value());
-  EXPECT_EQ(*r.dp_trigger, *offline);
+  EXPECT_EQ(*r.dp.trigger, *offline);
 }
 
 TEST(DataplaneDetection, TransientLoopBelowBoundaryZeroFalsePositives) {
@@ -210,8 +210,8 @@ TEST(DataplaneDetection, TransientLoopBelowBoundaryZeroFalsePositives) {
   Scenario s = scenarios::make_transient_loop(p);
   const RunSummary r = scenarios::run_and_check(s, 10_ms, 20_ms);
   EXPECT_FALSE(r.deadlocked);
-  EXPECT_EQ(r.dp_confirms, 0u) << "self-resolving transient misclassified";
-  EXPECT_EQ(r.dp_recoveries, 0u);
+  EXPECT_EQ(r.dp.confirms, 0u) << "self-resolving transient misclassified";
+  EXPECT_EQ(r.dp.recoveries, 0u);
 }
 
 // ----------------------------------------------------- recovery policies
@@ -239,10 +239,10 @@ void expect_recovers(RecoveryPolicy policy) {
   const std::int64_t total = valley_delivered(policy, &r);
   EXPECT_FALSE(r.deadlocked)
       << to_string(policy) << " left the fabric wedged";
-  ASSERT_TRUE(r.dp_detected_at.has_value());
-  ASSERT_TRUE(r.dp_recovered_at.has_value());
-  EXPECT_GE(*r.dp_recovered_at, *r.dp_detected_at);
-  EXPECT_GE(r.dp_recoveries, 1u);
+  ASSERT_TRUE(r.dp.detected_at.has_value());
+  ASSERT_TRUE(r.dp.recovered_at.has_value());
+  EXPECT_GE(*r.dp.recovered_at, *r.dp.detected_at);
+  EXPECT_GE(r.dp.recoveries, 1u);
   EXPECT_GT(total, wedged) << "post-recovery throughput missing";
 }
 
@@ -295,15 +295,15 @@ std::string summary_digest(const RunSummary& r) {
   std::string out = r.deadlocked ? "dead;" : "ok;";
   out += std::to_string(r.trapped_bytes) + ";";
   out += (r.detected_at ? std::to_string(r.detected_at->ps()) : "-") + ";";
-  out += (r.dp_detected_at ? std::to_string(r.dp_detected_at->ps()) : "-");
+  out += (r.dp.detected_at ? std::to_string(r.dp.detected_at->ps()) : "-");
   out += ";";
-  out += (r.dp_trigger ? std::to_string(*r.dp_trigger) : "-") + ";";
-  out += (r.dp_recovered_at ? std::to_string(r.dp_recovered_at->ps()) : "-");
+  out += (r.dp.trigger ? std::to_string(*r.dp.trigger) : "-") + ";";
+  out += (r.dp.recovered_at ? std::to_string(r.dp.recovered_at->ps()) : "-");
   out += ";";
-  out += std::to_string(r.dp_candidates) + ";";
-  out += std::to_string(r.dp_confirms) + ";";
-  out += std::to_string(r.dp_recoveries) + ";";
-  out += std::to_string(r.dp_false_alarms) + ";";
+  out += std::to_string(r.dp.candidates) + ";";
+  out += std::to_string(r.dp.confirms) + ";";
+  out += std::to_string(r.dp.recoveries) + ";";
+  out += std::to_string(r.dp.false_alarms) + ";";
   for (const auto& [flow, bytes] : r.delivered) {
     out += std::to_string(flow) + "=" + std::to_string(bytes) + ";";
   }

@@ -624,7 +624,8 @@ TEST(DeterminismTest, ForensicArtifactsAreByteIdenticalAcrossJobs) {
   std::size_t compared = 0;
   for (const char* suffix :
        {".forensics.txt", ".forensics.dot", ".trace.json",
-        ".telemetry.jsonl", ".postmortem.jsonl"}) {
+        ".telemetry.jsonl", ".postmortem.jsonl", ".counters.json",
+        ".alerts.perfetto.json"}) {
     for (const RunSpec& r : runs) {
       char idx[32];
       std::snprintf(idx, sizeof(idx), "run_%05d", r.run_index);

@@ -1,5 +1,5 @@
-// Statistics layer: pause-event log semantics, occupancy samplers,
-// throughput meters, CSV output.
+// Statistics layer: pause-event log semantics, occupancy samplers, CSV
+// output.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include "dcdl/stats/csv.hpp"
 #include "dcdl/stats/pause_log.hpp"
 #include "dcdl/stats/sampler.hpp"
-#include "dcdl/stats/throughput.hpp"
 
 namespace dcdl::stats {
 namespace {
@@ -99,37 +98,6 @@ TEST(Sampler, PerFlowViewIsSubsetOfQueue) {
     EXPECT_LE(sampler.series(1)[i].bytes, sampler.series(0)[i].bytes);
   }
   EXPECT_GT(sampler.max_bytes(1), 0);
-}
-
-TEST(Throughput, AverageRateOverWindow) {
-  Scenario s = make_four_switch(FourSwitchParams{});
-  ThroughputMeter meter(*s.net, 1_ms);
-  s.sim->run_until(10_ms);
-  // Flows 1 and 2 settle near B/2 = 20 Gbps.
-  for (const FlowId f : {1u, 2u}) {
-    const Rate r = meter.average_rate(f, 2_ms, 10_ms);
-    EXPECT_NEAR(r.as_gbps(), 20.0, 2.0) << "flow " << f;
-  }
-  EXPECT_EQ(meter.delivered_bytes(1) + meter.delivered_bytes(2),
-            meter.total_delivered_bytes());
-  EXPECT_GT(meter.delivered_packets(1), 0u);
-}
-
-TEST(Throughput, WindowSeriesSumsToTotal) {
-  Scenario s = make_four_switch(FourSwitchParams{});
-  ThroughputMeter meter(*s.net, 1_ms);
-  s.sim->run_until(10_ms);
-  std::int64_t sum = 0;
-  for (const auto w : meter.window_series(1)) sum += w;
-  EXPECT_EQ(sum, meter.delivered_bytes(1));
-}
-
-TEST(Throughput, UnknownFlowIsZero) {
-  Scenario s = make_four_switch(FourSwitchParams{});
-  ThroughputMeter meter(*s.net);
-  EXPECT_EQ(meter.delivered_bytes(999), 0);
-  EXPECT_TRUE(meter.window_series(999).empty());
-  EXPECT_EQ(meter.average_rate(999, Time::zero(), 1_ms).bps(), 0);
 }
 
 TEST(Csv, FormatsRowsAndSections) {
