@@ -10,9 +10,11 @@
 //
 // The four policy runs go through the dcdl::campaign engine as a sweep over
 // a bench-registered "mit_thresholds" scenario whose instrumentation hook
-// splits pause assertions by tier and runs the cascade analysis at stop.
+// splits pause assertions by tier and runs the forensic cascade analysis
+// (forensics::analyze) over the pause log at stop.
 //
 // Flags: --run_ms=10, --senders=6, --jobs, --out=mit.json, --timing.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,9 +22,9 @@
 #include "dcdl/campaign/campaign.hpp"
 #include "dcdl/common/flags.hpp"
 #include "dcdl/device/host.hpp"
+#include "dcdl/forensics/causality.hpp"
 #include "dcdl/mitigation/thresholds.hpp"
 #include "dcdl/routing/compute.hpp"
-#include "dcdl/stats/cascade.hpp"
 #include "dcdl/stats/csv.hpp"
 #include "dcdl/stats/hooks.hpp"
 #include "dcdl/stats/pause_log.hpp"
@@ -118,11 +120,21 @@ void register_mit_thresholds(ScenarioRegistry& reg) {
       out.emplace_back("pauses_tier1", static_cast<double>(counts->tier1));
       out.emplace_back("pauses_tier2", static_cast<double>(counts->tier2));
       out.emplace_back("pauses_host", static_cast<double>(counts->host));
-      const stats::CascadeStats cascade =
-          stats::analyze_pause_cascade(*net, *log);
-      out.emplace_back("cascade_mean_depth", cascade.mean_depth);
-      out.emplace_back("cascade_max_depth",
-                       static_cast<double>(cascade.max_depth));
+      const forensics::CascadeReport cascade =
+          forensics::analyze(forensics::input_from_pause_log(
+              net->topo(), *log, net->sim().now()));
+      int max_depth = 0;
+      double depth_sum = 0;
+      for (const forensics::PauseSpan& span : cascade.spans) {
+        max_depth = std::max(max_depth, span.depth);
+        depth_sum += span.depth;
+      }
+      out.emplace_back("cascade_mean_depth",
+                       cascade.spans.empty()
+                           ? 0.0
+                           : depth_sum /
+                                 static_cast<double>(cascade.spans.size()));
+      out.emplace_back("cascade_max_depth", static_cast<double>(max_depth));
       out.emplace_back(
           "overflow_drops",
           static_cast<double>(net->drops(DropReason::kBufferOverflow)));

@@ -31,12 +31,12 @@
 // a post-mortem when a deadlock is confirmed. --metrics prints the
 // telemetry, probe, watch and scenario metrics after the run; the probe
 // summary (FCT / pause-duration / queuing-delay percentiles) prints after
-// every run. --probe_us N changes the sampling interval (default 100). The
-// early-warning watcher (dcdl::watch) is always on and its alert digest
-// prints after every run; --watch additionally streams a live status line
-// plus every alert edge to stderr while the simulation runs. --profile
-// installs the wall-clock engine self-profiler and prints its span table
-// (nondeterministic; never in the artifacts).
+// every run. --probe_us N changes the probe's and the watch's sampling
+// interval (default 100). The early-warning watcher (dcdl::watch) is always
+// on and its alert digest prints after every run; --watch additionally
+// streams a live status line plus every alert edge to stderr while the
+// simulation runs. --profile installs the wall-clock engine self-profiler
+// and prints its span table (nondeterministic; never in the artifacts).
 //
 // Exit status: 0 no deadlock, 1 deadlock, 2 bad input or a failed run.
 #include <cstdio>
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   opts.shards = shards;
   opts.hybrid.mode = *hybrid_mode;
   opts.probe_interval = probe_interval;
-  opts.watch.interval = probe_interval;
   opts.trace_dir = trace_dir;
 
   // Set up in the scenario's own instrument hook, before the run: the

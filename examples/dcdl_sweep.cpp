@@ -27,9 +27,9 @@
 // ETA on stderr — stdout artifacts stay byte-identical), --trace <dir>
 // (per-run Perfetto + dcdl.telemetry.v1 JSONL + dcdl.timeseries.v1 JSONL
 // exports, plus deadlock post-mortems; feed the directory to dcdl_report
-// for an aggregated markdown report), --probe_us N (time-series sampling
-// interval, default 100), --metrics (aggregate telemetry summary on stderr
-// after the sweep).
+// for an aggregated markdown report), --probe_us N (time-series and
+// watch sampling interval, default 100), --metrics (aggregate telemetry
+// summary on stderr after the sweep).
 #include <chrono>
 #include <cstdio>
 #include <map>

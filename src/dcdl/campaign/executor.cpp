@@ -139,8 +139,11 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
 
     // Always-on early-warning watcher: like the probe, its sampler rides
     // the externally visible simulator, so the alert stream is a pure
-    // function of the scenario for every --jobs x --shards.
-    watch::RunWatch run_watch(*s.net, s.flows, opts.watch);
+    // function of the scenario for every --jobs x --shards. It ticks at the
+    // probe's interval, so the two artifacts share one time axis.
+    watch::WatchOptions watch_opts = opts.watch;
+    watch_opts.interval = opts.probe_interval;
+    watch::RunWatch run_watch(*s.net, s.flows, watch_opts);
 
     // Cooperative guard: a recurring simulator event — always scheduled, so
     // the event stream (and events_executed) is identical whether a run
@@ -222,12 +225,11 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     }
     rec.goodput_gbps =
         static_cast<double>(total) * 8 / spec.run_for.sec() / 1e9;
-    for (const stats::PauseEvent& e : pauses.events()) {
-      rec.pause_assertions += e.paused ? 1 : 0;
-    }
+    rec.pause_assertions = run_telemetry.registry().counter_value(
+        run_telemetry.ids().pfc_xoff);
     // Telemetry snapshot at stop time: same instant as goodput and
     // pause_assertions, before the drain phase perturbs the queues.
-    rec.telemetry = run_telemetry.snapshot().flatten();
+    rec.telemetry = run_telemetry.snapshot();
     // Probe summary and the timeseries artifact are captured at the same
     // stop instant, so the JSONL histograms match the record's probe.*
     // values exactly (the hooks would keep accumulating through the drain).
@@ -282,14 +284,8 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
       causal.deadlock_at_ps = monitor.detected_at()->ps();
     }
     forensics::CascadeReport cascade = forensics::analyze(causal);
-    {
-      telemetry::MetricsRegistry forensics_reg;
-      const forensics::CascadeMetricIds ids =
-          forensics::register_cascade_metrics(forensics_reg);
-      forensics::record_cascade(forensics_reg, ids, cascade);
-      for (auto& kv : forensics_reg.snapshot().flatten()) {
-        rec.telemetry.push_back(std::move(kv));
-      }
+    for (auto& kv : forensics::summary(cascade)) {
+      rec.telemetry.push_back(std::move(kv));
     }
 
     if (recorder != nullptr) {

@@ -47,13 +47,13 @@ struct ExecutorOptions {
   /// HybridController and the record carries the schema-v4 columns
   /// hybrid_mode / zoom_events / fluid_fraction.
   hybrid::HybridConfig hybrid;
-  /// Time-series probe sampling interval (dcdl::probe). The sampler is
-  /// always on: it rides the externally visible simulator (the engine's
-  /// control sim), so its events land at window barriers and the series
-  /// are byte-identical across --jobs and --shards. Every ok record
-  /// carries the probe summary (schema v5); with trace_dir set, each run
-  /// additionally writes `run_NNNNN.timeseries.jsonl` and
-  /// `run_NNNNN.counters.json`.
+  /// Time-series probe sampling interval (dcdl::probe), and the watch's
+  /// too (it replaces `watch.interval`). The sampler is always on: it
+  /// rides the externally visible simulator (the engine's control sim), so
+  /// its events land at window barriers and the series are byte-identical
+  /// across --jobs and --shards. Every ok record carries the probe summary
+  /// (schema v5); with trace_dir set, each run additionally writes
+  /// `run_NNNNN.timeseries.jsonl` and `run_NNNNN.counters.json`.
   Time probe_interval = Time{100'000'000};  // 100 us
   /// Ring capacity (ticks) of each run's time-series store. At the default
   /// 100 us interval this covers 409.6 ms of history — longer runs keep the

@@ -84,9 +84,10 @@ struct RunRecord {
   MetricSink metrics;
   /// Simulator events executed (deterministic for a given spec+seed).
   std::uint64_t events = 0;
-  /// The uniform telemetry snapshot (flattened name -> value, registration
-  /// order), sampled at stop time — see telemetry::RunTelemetry. Like every
-  /// serialized field, deterministic for a given spec+seed.
+  /// The uniform telemetry snapshot (name -> value, registration order),
+  /// sampled at stop time — see telemetry::RunTelemetry — followed by
+  /// forensics::summary of the whole pause history. Like every serialized
+  /// field, deterministic for a given spec+seed.
   std::vector<std::pair<std::string, double>> telemetry;
   /// Time-series probe summary (schema v5): series max/mean and latency
   /// histogram percentiles, flattened name -> value in emission order.

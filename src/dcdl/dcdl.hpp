@@ -51,7 +51,6 @@
 #include "dcdl/probe/probe.hpp"
 #include "dcdl/probe/profiler.hpp"
 
-#include "dcdl/stats/cascade.hpp"
 #include "dcdl/stats/csv.hpp"
 #include "dcdl/stats/hooks.hpp"
 #include "dcdl/stats/latency.hpp"

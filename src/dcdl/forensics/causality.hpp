@@ -183,11 +183,10 @@ struct CascadeReport {
 /// *switch* peer of any of sw's ports for the same class — i.e. C was
 /// holding one of sw's egresses when E fired — and C's pause frame had
 /// physically arrived: C.start + link_delay <= E.start. Depth(E) = 1 + max
-/// depth of causes. This refines stats::analyze_pause_cascade's
-/// active-parent rule with the arrival-time filter, so a pause that
-/// asserted less than one propagation delay before E cannot be blamed for
-/// it; on closely-spaced assertions the two can report different depths,
-/// and the forensic one is the physical lower bound.
+/// depth of causes. The arrival-time filter means a pause that asserted
+/// less than one propagation delay before E cannot be blamed for it, so on
+/// closely-spaced assertions the depth is the physical lower bound (a bare
+/// active-parent rule would report deeper cascades).
 CascadeReport analyze(const CausalInput& in);
 
 }  // namespace dcdl::forensics

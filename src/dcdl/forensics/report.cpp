@@ -1,5 +1,6 @@
 #include "dcdl/forensics/report.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -161,6 +162,42 @@ std::vector<telemetry::FlowArrow> flow_arrows(const CascadeReport& report) {
     }
   }
   return arrows;
+}
+
+std::vector<std::pair<std::string, double>> summary(
+    const CascadeReport& report) {
+  int max_depth = 0, max_width = 0;
+  int loops = 0, hosts = 0, congestion = 0;
+  for (const CascadeComponent& c : report.components) {
+    max_depth = std::max(max_depth, c.max_depth);
+    max_width = std::max(max_width, c.max_width);
+    switch (c.trigger) {
+      case TriggerKind::kRoutingLoop: ++loops; break;
+      case TriggerKind::kHostPause: ++hosts; break;
+      case TriggerKind::kCongestionCascade: ++congestion; break;
+    }
+  }
+  const auto spans = static_cast<double>(report.spans.size());
+  double fanout = 0;
+  for (const PauseSpan& s : report.spans) {
+    fanout += static_cast<double>(s.effects.size());
+  }
+  return {
+      {"forensics.pause_spans", spans},
+      {"forensics.cascades", static_cast<double>(report.components.size())},
+      {"forensics.cascade_max_depth", max_depth},
+      {"forensics.cascade_max_width", max_width},
+      {"forensics.triggers.routing_loop", loops},
+      {"forensics.triggers.host_pause", hosts},
+      {"forensics.triggers.congestion", congestion},
+      {"forensics.time_to_deadlock_ms",
+       report.time_to_deadlock_ps < 0
+           ? -1.0
+           : static_cast<double>(report.time_to_deadlock_ps) / 1e9},
+      {"forensics.fanout.count", spans},
+      {"forensics.fanout.sum", fanout},
+      {"forensics.fanout.mean", spans > 0 ? fanout / spans : 0},
+  };
 }
 
 }  // namespace dcdl::forensics

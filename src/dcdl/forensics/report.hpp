@@ -6,6 +6,8 @@
 //    highlighted, triggers double-bordered.
 //  - flow_arrows: cause->effect edges as telemetry::FlowArrow, ready to be
 //    drawn into the Perfetto export.
+//  - summary: the cascade shape as the flat `forensics.*` name -> value
+//    list every campaign record's telemetry carries.
 //
 // All output is deterministic: a pure function of the report, fixed field
 // order, fixed-precision times — byte-identical across runs and --jobs
@@ -13,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcdl/forensics/causality.hpp"
@@ -37,5 +40,13 @@ std::string to_dot(const CascadeReport& report);
 /// One arrow per causality edge, anchored at the cause span's assertion
 /// and the effect span's assertion.
 std::vector<telemetry::FlowArrow> flow_arrows(const CascadeReport& report);
+
+/// `forensics.*` in a fixed order: pause_spans, cascades,
+/// cascade_max_depth, cascade_max_width, triggers.{routing_loop,
+/// host_pause,congestion}, time_to_deadlock_ms (trigger assertion ->
+/// deadlock confirmation; -1 when no deadlock), and fanout.{count,sum,mean}
+/// over the downstream pauses each span directly induced.
+std::vector<std::pair<std::string, double>> summary(
+    const CascadeReport& report);
 
 }  // namespace dcdl::forensics

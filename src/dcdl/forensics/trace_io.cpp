@@ -1,6 +1,7 @@
 #include "dcdl/forensics/trace_io.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "dcdl/dataplane/dataplane.hpp"
@@ -15,12 +16,12 @@ namespace {
                            std::to_string(line_no) + ": " + why);
 }
 
-/// `"key":<integer>` scan inside one line/object; nullopt when absent.
-std::optional<std::int64_t> find_int(const std::string& s,
-                                     const char* key,
-                                     std::size_t from = 0) {
+/// `"key":<integer>` scan inside one line/object; nullopt when absent. A
+/// magnitude beyond int64_t fails the parse instead of overflowing.
+std::optional<std::int64_t> find_int(const std::string& s, const char* key,
+                                     std::size_t line_no) {
   const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = s.find(needle, from);
+  const std::size_t at = s.find(needle);
   if (at == std::string::npos) return std::nullopt;
   std::size_t p = at + needle.size();
   bool neg = false;
@@ -31,7 +32,11 @@ std::optional<std::int64_t> find_int(const std::string& s,
   if (p >= s.size() || s[p] < '0' || s[p] > '9') return std::nullopt;
   std::int64_t v = 0;
   while (p < s.size() && s[p] >= '0' && s[p] <= '9') {
-    v = v * 10 + (s[p] - '0');
+    const int digit = s[p] - '0';
+    if (v > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+      fail(line_no, std::string("\"") + key + "\" out of range");
+    }
+    v = v * 10 + digit;
     ++p;
   }
   return neg ? -v : v;
@@ -108,12 +113,18 @@ void parse_topology(const std::string& header, LoadedTrace& out) {
   const std::string links = bracket_region(
       body, body.find('[', links_at), '[', ']');
   for (const std::string& obj : split_objects(links)) {
-    const auto a = find_int(obj, "a");
-    const auto b = find_int(obj, "b");
-    const auto delay = find_int(obj, "delay_ps");
+    const auto a = find_int(obj, "a", 1);
+    const auto b = find_int(obj, "b", 1);
+    const auto delay = find_int(obj, "delay_ps", 1).value_or(0);
     if (!a || !b) fail(1, "topology link without endpoints");
+    const auto nodes = static_cast<std::int64_t>(out.topo.node_count());
+    if (*a < 0 || *a >= nodes || *b < 0 || *b >= nodes) {
+      fail(1, "topology link endpoint is not a declared node");
+    }
+    if (*a == *b) fail(1, "topology link joins a node to itself");
+    if (delay < 0) fail(1, "topology link with negative delay_ps");
     out.topo.add_link(static_cast<NodeId>(*a), static_cast<NodeId>(*b),
-                      Rate::gbps(40), Time{delay.value_or(0)});
+                      Rate::gbps(40), Time{delay});
   }
   out.has_topology = true;
 }
@@ -124,9 +135,9 @@ void parse_cycle(const std::string& header, LoadedTrace& out) {
   const std::string body = bracket_region(
       header, header.find('[', at), '[', ']');
   for (const std::string& obj : split_objects(body)) {
-    const auto node = find_int(obj, "node");
-    const auto port = find_int(obj, "port");
-    const auto cls = find_int(obj, "cls");
+    const auto node = find_int(obj, "node", 1);
+    const auto port = find_int(obj, "port", 1);
+    const auto cls = find_int(obj, "cls", 1);
     if (!node || !port || !cls) fail(1, "malformed cycle entry");
     out.cycle.push_back(QueueKey{static_cast<NodeId>(*node),
                                  static_cast<PortId>(*port),
@@ -183,27 +194,28 @@ LoadedTrace parse_jsonl(const std::string& content) {
       }
       out.post_mortem = line.find("\"post_mortem\":true") !=
                         std::string::npos;
-      out.detected_at_ps = find_int(line, "detected_at_ps");
+      out.detected_at_ps = find_int(line, "detected_at_ps", 1);
       parse_cycle(line, out);
       parse_topology(line, out);
       continue;
     }
 
     telemetry::TraceRecord r;
-    const auto t = find_int(line, "t_ps");
+    const auto t = find_int(line, "t_ps", line_no);
     const auto kind_name = find_string(line, "kind");
     if (!t || !kind_name) fail(line_no, "record without t_ps/kind");
     const auto kind = kind_from_name(*kind_name);
     if (!kind) fail(line_no, "unknown record kind '" + *kind_name + "'");
+    const auto field = [&](const char* key, std::int64_t fallback = 0) {
+      return find_int(line, key, line_no).value_or(fallback);
+    };
     r.t_ps = *t;
     r.kind = *kind;
-    r.node = static_cast<std::uint32_t>(find_int(line, "node").value_or(0));
-    r.flow = static_cast<std::uint32_t>(find_int(line, "flow").value_or(0));
-    r.bytes =
-        static_cast<std::uint32_t>(find_int(line, "bytes").value_or(0));
-    r.port = static_cast<std::uint16_t>(
-        find_int(line, "port").value_or(kInvalidPort));
-    r.cls = static_cast<std::uint8_t>(find_int(line, "cls").value_or(0));
+    r.node = static_cast<std::uint32_t>(field("node"));
+    r.flow = static_cast<std::uint32_t>(field("flow"));
+    r.bytes = static_cast<std::uint32_t>(field("bytes"));
+    r.port = static_cast<std::uint16_t>(field("port", kInvalidPort));
+    r.cls = static_cast<std::uint8_t>(field("cls"));
     if (*kind == telemetry::RecordKind::kDropped) {
       const auto reason = find_string(line, "reason");
       if (!reason) fail(line_no, "drop record without reason");
@@ -215,13 +227,11 @@ LoadedTrace parse_jsonl(const std::string& content) {
       const auto event = find_string(line, "event");
       if (!event) fail(line_no, "dataplane record without event");
       r.reason = dataplane_event_from_name(*event, line_no);
-      r.bytes =
-          static_cast<std::uint32_t>(find_int(line, "detail").value_or(0));
+      r.bytes = static_cast<std::uint32_t>(field("detail"));
     } else if (*kind == telemetry::RecordKind::kRegionState) {
       // Rendered as "region"/"level"; node carries the region index and
       // bytes the direction (1 = escalated to packet).
-      r.node =
-          static_cast<std::uint32_t>(find_int(line, "region").value_or(0));
+      r.node = static_cast<std::uint32_t>(field("region"));
       r.bytes = find_string(line, "level").value_or("fluid") == "packet";
     }
     out.records.push_back(r);

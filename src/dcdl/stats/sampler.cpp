@@ -9,19 +9,22 @@ namespace dcdl::stats {
 
 OccupancySampler::OccupancySampler(Network& net, std::vector<Target> targets,
                                    Time period)
-    : net_(net), targets_(std::move(targets)), period_(period) {
+    : net_(net),
+      targets_(std::move(targets)),
+      ticker_(net.sim(), period, [this](Time now) { sample(now); }) {
   DCDL_EXPECTS(period > Time::zero());
   series_.resize(targets_.size());
 }
 
 void OccupancySampler::start(Time from, Time until) {
   DCDL_EXPECTS(from >= net_.sim().now());
-  until_ = until;
-  net_.sim().schedule_at(from, [this] { sample_once(); });
+  net_.sim().schedule_at(from, [this, until] {
+    sample(net_.sim().now());
+    ticker_.start(until);
+  });
 }
 
-void OccupancySampler::sample_once() {
-  const Time now = net_.sim().now();
+void OccupancySampler::sample(Time now) {
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     const Target& t = targets_[i];
     const auto& sw = net_.switch_at(t.sw);
@@ -29,9 +32,6 @@ void OccupancySampler::sample_once() {
         t.flow ? sw.ingress_flow_bytes(t.port, t.cls, *t.flow)
                : sw.ingress_bytes(t.port, t.cls);
     series_[i].push_back(SamplePoint{now, bytes});
-  }
-  if (now + period_ <= until_) {
-    net_.sim().schedule_in(period_, [this] { sample_once(); });
   }
 }
 

@@ -1,6 +1,8 @@
 // Periodic sampling of ingress-queue occupancy — the paper samples "the
 // instantaneous buffer occupancy of both flows at RX1 queues every 1us"
-// for Figures 3(d-g) and 5(c-d).
+// for Figures 3(d-g) and 5(c-d). The recurring tick is a
+// probe::IntervalSampler; this class only adds the sample at `from` and
+// the per-target series.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +12,7 @@
 #include "dcdl/common/units.hpp"
 #include "dcdl/device/network.hpp"
 #include "dcdl/net/packet.hpp"
+#include "dcdl/probe/probe.hpp"
 
 namespace dcdl::stats {
 
@@ -30,8 +33,11 @@ class OccupancySampler {
   };
 
   OccupancySampler(Network& net, std::vector<Target> targets, Time period);
+  /// The scheduled ticks hold `this`: the object must stay put.
+  OccupancySampler(const OccupancySampler&) = delete;
+  OccupancySampler& operator=(const OccupancySampler&) = delete;
 
-  /// Begins sampling at `from`, stopping after `until`.
+  /// Samples at `from`, then every period up to and including `until`.
   void start(Time from, Time until);
 
   const std::vector<Target>& targets() const { return targets_; }
@@ -44,12 +50,11 @@ class OccupancySampler {
   std::int64_t max_bytes_after(std::size_t target_index, Time from) const;
 
  private:
-  void sample_once();
+  void sample(Time now);
 
   Network& net_;
   std::vector<Target> targets_;
-  Time period_;
-  Time until_ = Time::zero();
+  probe::IntervalSampler ticker_;
   std::vector<std::vector<SamplePoint>> series_;
 };
 

@@ -6,206 +6,116 @@
 
 namespace dcdl::telemetry {
 
-const char* to_string(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
 std::uint32_t MetricsRegistry::register_name(const std::string& name,
-                                             MetricKind kind,
+                                             bool gauge,
                                              std::uint32_t index_if_new) {
-  if (const auto it = by_name_.find(name); it != by_name_.end()) {
-    const Entry& e = names_[it->second];
-    if (e.kind != kind) {
+  for (const Entry& e : names_) {
+    if (e.name != name) continue;
+    if (e.gauge != gauge) {
       throw std::invalid_argument("metric '" + name + "' already registered "
-                                  "as a " + std::string(to_string(e.kind)));
+                                  "as a " + (e.gauge ? "gauge" : "counter"));
     }
     return e.index;
   }
-  by_name_[name] = static_cast<std::uint32_t>(names_.size());
-  names_.push_back(Entry{name, kind, index_if_new});
+  names_.push_back(Entry{name, gauge, index_if_new});
   return index_if_new;
 }
 
 CounterId MetricsRegistry::counter(const std::string& name) {
   const auto next = static_cast<std::uint32_t>(counters_.size());
-  const std::uint32_t idx =
-      register_name(name, MetricKind::kCounter, next);
+  const std::uint32_t idx = register_name(name, false, next);
   if (idx == next) counters_.push_back(0);
   return CounterId{idx};
 }
 
 GaugeId MetricsRegistry::gauge(const std::string& name) {
   const auto next = static_cast<std::uint32_t>(gauges_.size());
-  const std::uint32_t idx = register_name(name, MetricKind::kGauge, next);
+  const std::uint32_t idx = register_name(name, true, next);
   if (idx == next) gauges_.push_back(0);
   return GaugeId{idx};
 }
 
-HistogramId MetricsRegistry::histogram(const std::string& name,
-                                       std::vector<double> bounds) {
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    if (bounds[i] <= bounds[i - 1]) {
-      throw std::invalid_argument("histogram '" + name +
-                                  "' bounds must be strictly ascending");
-    }
-  }
-  const auto next = static_cast<std::uint32_t>(histograms_.size());
-  const std::uint32_t idx =
-      register_name(name, MetricKind::kHistogram, next);
-  if (idx == next) {
-    Histogram h;
-    h.buckets.assign(bounds.size() + 1, 0);
-    h.bounds = std::move(bounds);
-    histograms_.push_back(std::move(h));
-  } else if (histograms_[idx].bounds != bounds) {
-    throw std::invalid_argument("histogram '" + name +
-                                "' re-registered with different bounds");
-  }
-  return HistogramId{idx};
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.items.reserve(names_.size());
-  for (const Entry& e : names_) {
-    MetricsSnapshot::Item item;
-    item.name = e.name;
-    item.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        item.value = static_cast<double>(counters_[e.index]);
-        break;
-      case MetricKind::kGauge:
-        item.value = gauges_[e.index];
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = histograms_[e.index];
-        item.value = static_cast<double>(h.count);
-        item.sum = h.sum;
-        item.bounds = h.bounds;
-        item.buckets = h.buckets;
-        break;
-      }
-    }
-    out.items.push_back(std::move(item));
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> MetricsSnapshot::flatten() const {
+std::vector<std::pair<std::string, double>> MetricsRegistry::snapshot() const {
   std::vector<std::pair<std::string, double>> out;
-  out.reserve(items.size());
-  for (const Item& item : items) {
-    if (item.kind == MetricKind::kHistogram) {
-      out.emplace_back(item.name + ".count", item.value);
-      out.emplace_back(item.name + ".sum", item.sum);
-      out.emplace_back(item.name + ".mean",
-                       item.value > 0 ? item.sum / item.value : 0);
-    } else {
-      out.emplace_back(item.name, item.value);
-    }
+  out.reserve(names_.size());
+  for (const Entry& e : names_) {
+    out.emplace_back(e.name, e.gauge ? gauges_[e.index]
+                                     : static_cast<double>(
+                                           counters_[e.index]));
   }
   return out;
-}
-
-double MetricsSnapshot::value(const std::string& name, double fallback) const {
-  for (const auto& [n, v] : flatten()) {
-    if (n == name) return v;
-  }
-  return fallback;
-}
-
-RunMetricIds register_run_metrics(MetricsRegistry& reg) {
-  RunMetricIds ids;
-  ids.pfc_xoff = reg.counter("net.pfc_xoff_total");
-  ids.pfc_xon = reg.counter("net.pfc_xon_total");
-  ids.tx_starts = reg.counter("net.tx_start_total");
-  ids.delivered_packets = reg.counter("net.delivered_packets_total");
-  ids.delivered_bytes = reg.counter("net.delivered_bytes_total");
-  ids.cnp = reg.counter("net.cnp_total");
-  for (int r = 0; r < kNumDropReasons; ++r) {
-    ids.dropped[r] = reg.counter(
-        std::string("net.dropped_packets_total.") +
-        to_string(static_cast<DropReason>(r)));
-  }
-  // Packet-size buckets: 64B control frames through jumbo.
-  ids.delivered_size =
-      reg.histogram("net.delivered_packet_bytes", {64, 256, 1024, 4096, 9216});
-  ids.queued_bytes = reg.gauge("net.queued_bytes");
-  ids.sim_events_executed = reg.gauge("sim.events_executed");
-  ids.sim_events_scheduled = reg.gauge("sim.events_scheduled");
-  ids.sim_events_cancelled = reg.gauge("sim.events_cancelled");
-  ids.sim_events_pending = reg.gauge("sim.events_pending");
-  ids.sim_slab_slots = reg.gauge("sim.slab_slots");
-  ids.sim_slab_grows = reg.gauge("sim.slab_grows");
-  ids.sim_heap_high_water = reg.gauge("sim.heap_high_water");
-  return ids;
-}
-
-void attach_run_metrics(MetricsRegistry& reg, const RunMetricIds& ids,
-                        Network& net) {
-  Trace& t = net.trace();
-  MetricsRegistry* r = &reg;
-  stats::append_hook(
-      t.pfc_state,
-      [r, xoff = ids.pfc_xoff, xon = ids.pfc_xon](Time, NodeId, PortId,
-                                                  ClassId, bool paused) {
-        r->add(paused ? xoff : xon);
-      });
-  stats::append_hook(t.tx_start,
-                     [r, id = ids.tx_starts](Time, const Packet&, NodeId,
-                                             PortId) { r->add(id); });
-  stats::append_hook(
-      t.delivered,
-      [r, pkts = ids.delivered_packets, bytes = ids.delivered_bytes,
-       size = ids.delivered_size](Time, const Packet& pkt) {
-        r->add(pkts);
-        r->add(bytes, pkt.size_bytes);
-        r->observe(size, static_cast<double>(pkt.size_bytes));
-      });
-  // The closure captures every per-reason counter id: a missing capture
-  // here once routed kDataplaneReset drops into a value-initialized id —
-  // slot 0, i.e. net.pfc_xoff_total (regression-tested in test_telemetry).
-  stats::append_hook(
-      t.dropped,
-      [r, d0 = ids.dropped[0], d1 = ids.dropped[1], d2 = ids.dropped[2],
-       d3 = ids.dropped[3],
-       d4 = ids.dropped[4]](Time, const Packet&, NodeId, DropReason reason) {
-        const CounterId by_reason[kNumDropReasons] = {d0, d1, d2, d3, d4};
-        r->add(by_reason[static_cast<int>(reason)]);
-      });
-  stats::append_hook(t.cnp,
-                     [r, id = ids.cnp](Time, FlowId) { r->add(id); });
-}
-
-void sample_run_metrics(MetricsRegistry& reg, const RunMetricIds& ids,
-                        const Simulator& sim, const Network& net) {
-  const Simulator::Counters c = sim.counters();
-  reg.set(ids.queued_bytes, static_cast<double>(net.total_queued_bytes()));
-  reg.set(ids.sim_events_executed, static_cast<double>(c.executed));
-  reg.set(ids.sim_events_scheduled, static_cast<double>(c.scheduled));
-  reg.set(ids.sim_events_cancelled, static_cast<double>(c.cancelled));
-  reg.set(ids.sim_events_pending, static_cast<double>(c.pending));
-  reg.set(ids.sim_slab_slots, static_cast<double>(c.slab_slots));
-  reg.set(ids.sim_slab_grows, static_cast<double>(c.slab_grows));
-  reg.set(ids.sim_heap_high_water, static_cast<double>(c.heap_high_water));
 }
 
 RunTelemetry::RunTelemetry(Network& net) : net_(net) {
-  ids_ = register_run_metrics(reg_);
-  attach_run_metrics(reg_, ids_, net_);
+  ids_.pfc_xoff = reg_.counter("net.pfc_xoff_total");
+  ids_.pfc_xon = reg_.counter("net.pfc_xon_total");
+  ids_.tx_starts = reg_.counter("net.tx_start_total");
+  ids_.delivered_packets = reg_.counter("net.delivered_packets_total");
+  ids_.delivered_bytes = reg_.counter("net.delivered_bytes_total");
+  ids_.cnp = reg_.counter("net.cnp_total");
+  for (int r = 0; r < kNumDropReasons; ++r) {
+    ids_.dropped[r] = reg_.gauge(std::string("net.dropped_packets_total.") +
+                                 to_string(static_cast<DropReason>(r)));
+  }
+  ids_.delivered_size_count = reg_.gauge("net.delivered_packet_bytes.count");
+  ids_.delivered_size_sum = reg_.gauge("net.delivered_packet_bytes.sum");
+  ids_.delivered_size_mean = reg_.gauge("net.delivered_packet_bytes.mean");
+  ids_.queued_bytes = reg_.gauge("net.queued_bytes");
+  ids_.sim_events_executed = reg_.gauge("sim.events_executed");
+  ids_.sim_events_scheduled = reg_.gauge("sim.events_scheduled");
+  ids_.sim_events_cancelled = reg_.gauge("sim.events_cancelled");
+  ids_.sim_events_pending = reg_.gauge("sim.events_pending");
+  ids_.sim_slab_slots = reg_.gauge("sim.slab_slots");
+  ids_.sim_slab_grows = reg_.gauge("sim.slab_grows");
+  ids_.sim_heap_high_water = reg_.gauge("sim.heap_high_water");
+
+  Trace& t = net.trace();
+  MetricsRegistry* r = &reg_;
+  stats::append_hook(
+      t.pfc_state,
+      [r, xoff = ids_.pfc_xoff, xon = ids_.pfc_xon](Time, NodeId, PortId,
+                                                    ClassId, bool paused) {
+        r->add(paused ? xoff : xon);
+      });
+  stats::append_hook(t.tx_start,
+                     [r, id = ids_.tx_starts](Time, const Packet&, NodeId,
+                                              PortId) { r->add(id); });
+  stats::append_hook(
+      t.delivered,
+      [r, pkts = ids_.delivered_packets,
+       bytes = ids_.delivered_bytes](Time, const Packet& pkt) {
+        r->add(pkts);
+        r->add(bytes, pkt.size_bytes);
+      });
+  stats::append_hook(t.cnp,
+                     [r, id = ids_.cnp](Time, FlowId) { r->add(id); });
 }
 
 void RunTelemetry::finalize() {
-  sample_run_metrics(reg_, ids_, net_.sim(), net_);
+  for (int r = 0; r < kNumDropReasons; ++r) {
+    reg_.set(ids_.dropped[r],
+             static_cast<double>(net_.drops(static_cast<DropReason>(r))));
+  }
+  const auto pkts =
+      static_cast<double>(reg_.counter_value(ids_.delivered_packets));
+  const auto bytes =
+      static_cast<double>(reg_.counter_value(ids_.delivered_bytes));
+  reg_.set(ids_.delivered_size_count, pkts);
+  reg_.set(ids_.delivered_size_sum, bytes);
+  reg_.set(ids_.delivered_size_mean, pkts > 0 ? bytes / pkts : 0);
+
+  const Simulator::Counters c = net_.sim().counters();
+  reg_.set(ids_.queued_bytes, static_cast<double>(net_.total_queued_bytes()));
+  reg_.set(ids_.sim_events_executed, static_cast<double>(c.executed));
+  reg_.set(ids_.sim_events_scheduled, static_cast<double>(c.scheduled));
+  reg_.set(ids_.sim_events_cancelled, static_cast<double>(c.cancelled));
+  reg_.set(ids_.sim_events_pending, static_cast<double>(c.pending));
+  reg_.set(ids_.sim_slab_slots, static_cast<double>(c.slab_slots));
+  reg_.set(ids_.sim_slab_grows, static_cast<double>(c.slab_grows));
+  reg_.set(ids_.sim_heap_high_water, static_cast<double>(c.heap_high_water));
 }
 
-MetricsSnapshot RunTelemetry::snapshot() {
+std::vector<std::pair<std::string, double>> RunTelemetry::snapshot() {
   finalize();
   return reg_.snapshot();
 }

@@ -1,135 +1,69 @@
-// Metrics registry: named counters, gauges, and histograms backed by
-// preallocated dense slots, so every run — standalone, campaign cell, or
-// bench — exposes one uniform snapshot of what the simulator and network
-// actually did.
+// Metrics registry: named counters and gauges backed by preallocated dense
+// slots, so every run — standalone, campaign cell, or bench — exposes one
+// uniform snapshot of what the simulator and network actually did. The
+// snapshot is the flat name -> value list that probe::RunProbe::summary()
+// and watch::RunWatch::summary() also return; latency distributions live
+// in probe::LogHistogram, not here.
 //
 // Two-phase contract (FlowSlotRegistry-style): registration happens during
-// setup and may allocate (name table, bucket storage); after that the hot
-// path is `counters_[id.v] += delta` / `gauges_[id.v] = v` / a bucket scan —
-// a bare vector index, never a hash lookup, never an allocation. Typed id
-// structs make it a compile error to bump a gauge or set a counter.
+// setup and may allocate (name table); after that the hot path is
+// `counters_[id.v] += delta` / `gauges_[id.v] = v` — a bare vector index,
+// never a lookup, never an allocation. Typed id structs make it a compile
+// error to bump a gauge or set a counter.
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dcdl/device/network.hpp"
-#include "dcdl/sim/simulator.hpp"
 
 namespace dcdl::telemetry {
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
-const char* to_string(MetricKind kind);
-
 struct CounterId { std::uint32_t v = 0; };
 struct GaugeId { std::uint32_t v = 0; };
-struct HistogramId { std::uint32_t v = 0; };
-
-/// A point-in-time copy of every registered metric, in registration order
-/// (deterministic: depends only on setup code, never on run interleaving).
-struct MetricsSnapshot {
-  struct Item {
-    std::string name;
-    MetricKind kind = MetricKind::kCounter;
-    /// Counter/gauge: the value. Histogram: total observation count.
-    double value = 0;
-    // Histogram-only detail.
-    double sum = 0;
-    std::vector<double> bounds;          ///< ascending upper bounds
-    std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (last = +inf)
-  };
-  std::vector<Item> items;
-
-  /// Flat name -> value view for embedding in campaign records: counters and
-  /// gauges verbatim; a histogram contributes `<name>.count`, `<name>.sum`,
-  /// and `<name>.mean`.
-  std::vector<std::pair<std::string, double>> flatten() const;
-  /// Lookup by flattened name; returns `fallback` when absent.
-  double value(const std::string& name, double fallback = 0) const;
-};
 
 class MetricsRegistry {
  public:
   /// Registration is idempotent per name; re-registering an existing name
-  /// with a different kind (or different histogram bounds) throws
-  /// std::invalid_argument — two subsystems silently sharing a slot is
-  /// always a bug.
+  /// as the other kind throws std::invalid_argument — two subsystems
+  /// silently sharing a slot is always a bug.
   CounterId counter(const std::string& name);
   GaugeId gauge(const std::string& name);
-  /// `bounds` are ascending bucket upper bounds; an implicit +inf bucket is
-  /// appended.
-  HistogramId histogram(const std::string& name, std::vector<double> bounds);
 
   // --- Hot path: dense slot ops, zero allocation. ---
   void add(CounterId id, std::uint64_t delta = 1) {
     counters_[id.v] += delta;
   }
   void set(GaugeId id, double v) { gauges_[id.v] = v; }
-  /// Bucket-boundary semantics (part of every exported artifact, pinned by
-  /// test_telemetry's boundary regression tests):
-  ///   - bounds are *inclusive* upper edges: v lands in the first bucket b
-  ///     with v <= bounds[b], so a value exactly on a boundary belongs to
-  ///     the bucket that boundary closes, never the one above it;
-  ///   - anything above the last bound saturates into the implicit +inf
-  ///     overflow bucket — observations are never dropped;
-  ///   - non-finite values (NaN, +/-inf) also saturate into the overflow
-  ///     bucket and are excluded from `sum`, so one bad sample cannot
-  ///     poison the mean or leak into the smallest bucket (NaN compares
-  ///     false against every bound). `count` still includes them: the
-  ///     count/sum discrepancy is the visible signal that it happened.
-  void observe(HistogramId id, double v) {
-    Histogram& h = histograms_[id.v];
-    std::size_t b = h.bounds.size();  // the saturating overflow bucket
-    if (v == v && v <= std::numeric_limits<double>::max() &&
-        v >= std::numeric_limits<double>::lowest()) {
-      b = 0;
-      while (b < h.bounds.size() && v > h.bounds[b]) ++b;
-      h.sum += v;
-    }
-    ++h.buckets[b];
-    ++h.count;
-  }
 
   std::uint64_t counter_value(CounterId id) const { return counters_[id.v]; }
   double gauge_value(GaugeId id) const { return gauges_[id.v]; }
-  std::uint64_t histogram_count(HistogramId id) const {
-    return histograms_[id.v].count;
-  }
 
   std::size_t size() const { return names_.size(); }
-  MetricsSnapshot snapshot() const;
+  /// Every metric's name and value in registration order (deterministic:
+  /// depends only on setup code, never on run interleaving).
+  std::vector<std::pair<std::string, double>> snapshot() const;
 
  private:
-  struct Histogram {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1
-    std::uint64_t count = 0;
-    double sum = 0;
-  };
   /// Registration-ordered directory: (name, kind, dense index).
   struct Entry {
     std::string name;
-    MetricKind kind;
+    bool gauge;
     std::uint32_t index;
   };
 
-  std::uint32_t register_name(const std::string& name, MetricKind kind,
+  std::uint32_t register_name(const std::string& name, bool gauge,
                               std::uint32_t index_if_new);
 
   std::vector<Entry> names_;
-  std::map<std::string, std::uint32_t> by_name_;  ///< name -> names_ index
   std::vector<std::uint64_t> counters_;
   std::vector<double> gauges_;
-  std::vector<Histogram> histograms_;
 };
 
 /// The uniform per-run metric set: every campaign record and every
-/// `--metrics` report exposes exactly these names (plus whatever the caller
-/// registers on top).
+/// `--metrics` report exposes exactly these names, in this order.
 struct RunMetricIds {
   // Event-driven counters (fed from Trace hooks).
   CounterId pfc_xoff;
@@ -138,10 +72,14 @@ struct RunMetricIds {
   CounterId delivered_packets;
   CounterId delivered_bytes;
   CounterId cnp;
-  CounterId dropped[kNumDropReasons];
-  HistogramId delivered_size;
 
   // Sampled at snapshot time.
+  GaugeId dropped[kNumDropReasons];  ///< Network::drops(reason)
+  /// Delivered packet size: count, sum, and mean bytes, derived from the
+  /// two delivered counters.
+  GaugeId delivered_size_count;
+  GaugeId delivered_size_sum;
+  GaugeId delivered_size_mean;
   GaugeId queued_bytes;
   GaugeId sim_events_executed;
   GaugeId sim_events_scheduled;
@@ -154,8 +92,8 @@ struct RunMetricIds {
 
 /// Bundles a registry pre-loaded with the uniform set, already chained onto
 /// `net`'s trace hooks. Construct after the network, before the run;
-/// finalize() samples the gauges (simulator counters, trapped bytes) —
-/// call it at the measurement point, then snapshot().
+/// finalize() samples the gauges (drop tallies, simulator counters,
+/// trapped bytes) — call it at the measurement point, then snapshot().
 class RunTelemetry {
  public:
   explicit RunTelemetry(Network& net);
@@ -168,24 +106,13 @@ class RunTelemetry {
 
   /// Samples the point-in-time gauges off the simulator and network.
   void finalize();
-  /// finalize() + snapshot() convenience.
-  MetricsSnapshot snapshot();
+  /// finalize() + the registry's snapshot.
+  std::vector<std::pair<std::string, double>> snapshot();
 
  private:
   Network& net_;
   MetricsRegistry reg_;
   RunMetricIds ids_;
 };
-
-/// Registers the uniform set into an existing registry (for callers that
-/// manage their own).
-RunMetricIds register_run_metrics(MetricsRegistry& reg);
-/// Chains counter-feeding observers onto `net`'s trace hooks. `reg` and the
-/// id set must outlive the network's dispatches.
-void attach_run_metrics(MetricsRegistry& reg, const RunMetricIds& ids,
-                        Network& net);
-/// Samples the gauges of the uniform set.
-void sample_run_metrics(MetricsRegistry& reg, const RunMetricIds& ids,
-                        const Simulator& sim, const Network& net);
 
 }  // namespace dcdl::telemetry

@@ -3,7 +3,7 @@
 //
 //   TraceRecord / RecordKind — 32-byte POD observation (record.hpp)
 //   FlightRecorder           — fixed-capacity ring, deadlock post-mortems
-//   MetricsRegistry          — dense named counters/gauges/histograms
+//   MetricsRegistry          — dense named counters and gauges
 //   RunTelemetry             — the uniform per-run metric set, pre-wired
 //   to_perfetto_json / to_jsonl / post_mortem_jsonl — exporters
 //

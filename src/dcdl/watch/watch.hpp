@@ -57,7 +57,9 @@ namespace dcdl::watch {
 class RunWatch;
 
 struct WatchOptions {
-  /// Sampling cadence; ticks fire at start + k * interval.
+  /// Sampling cadence; ticks fire at start + k * interval. A campaign run
+  /// (campaign::execute_run) overrides it with
+  /// ExecutorOptions::probe_interval, so probe and watch share one clock.
   Time interval = Time{100'000'000};  // 100 us
   /// Re-assess deadlock risk (OnlineRiskAssessor over measured rates)
   /// every this many ticks; 0 disables the risk signals (they stay 0).

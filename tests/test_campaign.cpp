@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "dcdl/campaign/campaign.hpp"
 #include "dcdl/common/contract.hpp"
@@ -293,6 +296,38 @@ TEST(CampaignExecutorTest, StandaloneRunReproducesCampaignRecord) {
                   one.run_index)]))
         << "run " << one.run_index;
   }
+}
+
+TEST(CampaignExecutorTest, ProbeIntervalDrivesTheWatchToo) {
+  // One sampling interval per run: the time-series and alert artifacts of
+  // a run at a non-default probe_interval carry the same interval_ps.
+  ScenarioRegistry reg;
+  register_builtin_scenarios(reg);
+  SweepSpec spec;
+  spec.scenario = "routing_loop";
+  apply_sets(spec.base, "inject=8");
+  spec.run_for = 2_ms;
+  spec.drain_grace = 6_ms;
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "campaign_interval")
+          .string();
+  std::filesystem::remove_all(dir);
+  ensure_output_dir(dir);
+  ExecutorOptions opts;
+  opts.probe_interval = 50_us;
+  opts.trace_dir = dir;
+  const CampaignResult result =
+      CampaignExecutor(reg, opts).run(expand(spec), spec.root_seed);
+  ASSERT_EQ(result.count(RunStatus::kOk), 1u);
+  for (const char* artifact :
+       {"/run_00000.timeseries.jsonl", "/run_00000.alerts.jsonl"}) {
+    std::ifstream in(dir + artifact);
+    std::string header;
+    ASSERT_TRUE(std::getline(in, header)) << artifact;
+    EXPECT_NE(header.find("\"interval_ps\":50000000,"), std::string::npos)
+        << artifact << ": " << header;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignExecutorTest, FactoryExceptionBecomesFailedRecord) {

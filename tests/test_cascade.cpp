@@ -1,19 +1,41 @@
-// Pause-cascade attribution: origins vs propagated pauses, and the §4
-// claim that threshold policies shrink cascade depth.
+// Pause-cascade depth on whole scenarios: origins vs propagated pauses, and
+// the §4 claim that threshold policies shrink cascade depth, measured with
+// the forensic causality DAG (forensics::analyze) over a pause log. The
+// hand-built attribution cases live in test_forensics.cpp (CausalityTest).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "dcdl/forensics/causality.hpp"
 #include "dcdl/mitigation/thresholds.hpp"
 #include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
-#include "dcdl/stats/cascade.hpp"
 #include "dcdl/topo/generators.hpp"
 
-namespace dcdl::stats {
+namespace dcdl::forensics {
 namespace {
 
 using namespace dcdl::literals;
 using namespace dcdl::scenarios;
 using namespace dcdl::topo;
+using stats::PauseEventLog;
+
+CascadeReport analyze_log(Network& net, const PauseEventLog& log) {
+  return analyze(input_from_pause_log(net.topo(), log, net.sim().now()));
+}
+
+int max_depth(const CascadeReport& r) {
+  int depth = 0;
+  for (const PauseSpan& s : r.spans) depth = std::max(depth, s.depth);
+  return depth;
+}
+
+double mean_depth(const CascadeReport& r) {
+  if (r.spans.empty()) return 0;
+  double sum = 0;
+  for (const PauseSpan& s : r.spans) sum += s.depth;
+  return sum / static_cast<double>(r.spans.size());
+}
 
 TEST(Cascade, SingleBottleneckPausesAreAllOrigins) {
   // One congested switch pausing its hosts: no switch-to-switch
@@ -21,11 +43,11 @@ TEST(Cascade, SingleBottleneckPausesAreAllOrigins) {
   Scenario s = make_incast(IncastParams{});
   PauseEventLog log(*s.net);
   s.sim->run_until(5_ms);
-  const CascadeStats stats = analyze_pause_cascade(*s.net, log);
-  ASSERT_GT(stats.total_pauses, 0u);
+  const CascadeReport r = analyze_log(*s.net, log);
+  ASSERT_GT(r.spans.size(), 0u);
   // The receiving leaf pauses the spines, which pause the sending leaves,
   // which pause the hosts: depth reaches 2 in a 2-tier fabric but no more.
-  EXPECT_LE(stats.max_depth, 2);
+  EXPECT_LE(max_depth(r), 2);
 }
 
 TEST(Cascade, DeadlockCycleShowsDeepPropagation) {
@@ -34,115 +56,25 @@ TEST(Cascade, DeadlockCycleShowsDeepPropagation) {
   Scenario s = make_four_switch(p);
   PauseEventLog log(*s.net);
   s.sim->run_until(20_ms);
-  const CascadeStats stats = analyze_pause_cascade(*s.net, log);
-  EXPECT_GE(stats.max_depth, 2)
+  const CascadeReport r = analyze_log(*s.net, log);
+  EXPECT_GE(max_depth(r), 2)
       << "the pause chain must propagate around the ring";
-  EXPECT_GT(stats.mean_depth, 0.0);
+  EXPECT_GT(mean_depth(r), 0.0);
 }
 
 TEST(Cascade, CountsSumToTotal) {
+  // Every Xoff opens exactly one span, and every span belongs to exactly
+  // one cascade.
   Scenario s = make_four_switch(FourSwitchParams{});
   PauseEventLog log(*s.net);
   s.sim->run_until(10_ms);
-  const CascadeStats stats = analyze_pause_cascade(*s.net, log);
-  std::uint64_t sum = 0;
-  for (const auto c : stats.count_by_depth) sum += c;
-  EXPECT_EQ(sum, stats.total_pauses);
-}
-
-// ---------------------------------------------------------------------------
-// Hand-built attribution cases: drive the pfc_state hook directly so every
-// depth assignment is pinned to a known event order, independent of any
-// scenario's traffic pattern.
-
-/// A 3-switch chain s0 — s1 — s2 with no hosts; pause events are injected
-/// by hand through the trace hook.
-struct Chain {
-  Simulator sim;
-  Topology topo;
-  NodeId s0, s1, s2;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<PauseEventLog> log;
-
-  Chain() {
-    s0 = topo.add_switch("s0");
-    s1 = topo.add_switch("s1");
-    s2 = topo.add_switch("s2");
-    topo.add_link(s0, s1);
-    topo.add_link(s1, s2);
-    net = std::make_unique<Network>(sim, topo, NetConfig{});
-    log = std::make_unique<PauseEventLog>(*net);
-  }
-
-  /// The ingress queue on `at` facing `from` — the identity that pauses
-  /// the link from->at.
-  QueueKey queue(NodeId at, NodeId from, ClassId cls = 0) const {
-    return QueueKey{at, *topo.port_towards(at, from), cls};
-  }
-
-  void fire(int t_us, QueueKey q, bool paused) {
-    net->trace().pfc_state(Time{t_us * 1'000'000}, q.node, q.port, q.cls,
-                           paused);
-  }
-};
-
-TEST(Cascade, ChainAttributesOriginAndPropagatedDepths) {
-  // Congestion starts at s2's ingress from s1 (depth 0), backpressure
-  // reaches s1's ingress from s0 (depth 1), then s0's ingress queue fires
-  // while s1 still holds it (depth 2).
-  Chain c;
-  c.fire(1, c.queue(c.s2, c.s1), true);   // origin
-  c.fire(2, c.queue(c.s1, c.s0), true);   // parent: s2's active pause
-  c.fire(3, c.queue(c.s0, c.s1), true);   // parent: s1's active pause
-  const CascadeStats stats = analyze_pause_cascade(*c.net, *c.log);
-  EXPECT_EQ(stats.total_pauses, 3u);
-  ASSERT_EQ(stats.count_by_depth.size(), 3u);
-  EXPECT_EQ(stats.count_by_depth[0], 1u);
-  EXPECT_EQ(stats.count_by_depth[1], 1u);
-  EXPECT_EQ(stats.count_by_depth[2], 1u);
-  EXPECT_EQ(stats.max_depth, 2);
-  EXPECT_DOUBLE_EQ(stats.mean_depth, 1.0);
-}
-
-TEST(Cascade, XonResetsAttribution) {
-  // Once the origin releases (Xon), a fresh pause at the same queue is an
-  // origin again — attribution follows *active* pauses, not history.
-  Chain c;
-  c.fire(1, c.queue(c.s2, c.s1), true);
-  c.fire(2, c.queue(c.s2, c.s1), false);  // released
-  c.fire(3, c.queue(c.s1, c.s0), true);   // no active parent anywhere
-  const CascadeStats stats = analyze_pause_cascade(*c.net, *c.log);
-  EXPECT_EQ(stats.total_pauses, 2u);
-  EXPECT_EQ(stats.max_depth, 0);
-  EXPECT_EQ(stats.count_by_depth[0], 2u);
-}
-
-TEST(Cascade, SimultaneousParentsTakeMaxDepthPlusOne) {
-  // s1 sits between two active parents of different depths: s2's origin
-  // (depth 0) and s0's chained pause (depth 2). The middle queue must take
-  // max(parent depths) + 1, not min or sum.
-  Chain c;
-  c.fire(1, c.queue(c.s2, c.s1), true);   // depth 0 origin on the right
-  c.fire(2, c.queue(c.s1, c.s0), true);   // depth 1 (parent: s2)
-  c.fire(3, c.queue(c.s0, c.s1), true);   // depth 2 (parent: s1's queue)
-  c.fire(4, c.queue(c.s1, c.s2), true);   // parents: s0 (depth 2) AND
-                                          // s2 (depth 0) -> 3
-  const CascadeStats stats = analyze_pause_cascade(*c.net, *c.log);
-  EXPECT_EQ(stats.total_pauses, 4u);
-  EXPECT_EQ(stats.max_depth, 3);
-  ASSERT_EQ(stats.count_by_depth.size(), 4u);
-  EXPECT_EQ(stats.count_by_depth[3], 1u);
-}
-
-TEST(Cascade, ClassesDoNotCrossAttribute) {
-  // An active pause on class 1 is not a parent for a class-0 assertion:
-  // PFC is per-class, and so is the cascade.
-  Chain c;
-  c.fire(1, c.queue(c.s2, c.s1, 1), true);
-  c.fire(2, c.queue(c.s1, c.s0, 0), true);
-  const CascadeStats stats = analyze_pause_cascade(*c.net, *c.log);
-  EXPECT_EQ(stats.total_pauses, 2u);
-  EXPECT_EQ(stats.max_depth, 0) << "class 1 pause must not parent class 0";
+  const CascadeReport r = analyze_log(*s.net, log);
+  std::size_t xoffs = 0;
+  for (const stats::PauseEvent& e : log.events()) xoffs += e.paused ? 1 : 0;
+  EXPECT_EQ(r.spans.size(), xoffs);
+  std::size_t sum = 0;
+  for (const CascadeComponent& c : r.components) sum += c.span_count;
+  EXPECT_EQ(sum, r.spans.size());
 }
 
 TEST(Cascade, BurstAbsorbingThresholdsShrinkTheCascade) {
@@ -177,11 +109,10 @@ TEST(Cascade, BurstAbsorbingThresholdsShrinkTheCascade) {
     }
     PauseEventLog log(net);
     sim.run_until(10_ms);
-    const CascadeStats stats = analyze_pause_cascade(net, log);
-    (tiered ? depth_tiered : depth_uniform) = stats.mean_depth;
+    (tiered ? depth_tiered : depth_uniform) = mean_depth(analyze_log(net, log));
   }
   EXPECT_LT(depth_tiered, depth_uniform);
 }
 
 }  // namespace
-}  // namespace dcdl::stats
+}  // namespace dcdl::forensics

@@ -32,9 +32,9 @@ using namespace dcdl::scenarios;
 
 // ----------------------------------------------------- hand-built cascades
 
-/// The same 3-switch chain as tests/test_cascade.cpp (s0 — s1 — s2, 1 us
-/// links), but driving the analyzer through a hand-assembled CausalInput so
-/// every edge and depth is pinned to a known event order.
+/// A 3-switch chain (s0 — s1 — s2, 1 us links, no hosts), driving the
+/// analyzer through a hand-assembled CausalInput so every edge and depth is
+/// pinned to a known event order.
 struct Chain {
   Topology topo;
   NodeId s0, s1, s2;
@@ -61,9 +61,9 @@ struct Chain {
 };
 
 TEST(CausalityTest, ChainAttributesOriginAndPropagatedDepths) {
-  // Mirrors Cascade.ChainAttributesOriginAndPropagatedDepths: at 1 us
-  // spacing over 1 us links every pause frame has just arrived, so the
-  // DAG is the full chain 0 -> 1 -> 2.
+  // Congestion starts at s2's ingress from s1 (depth 0); at 1 us spacing
+  // over 1 us links every pause frame has just arrived, so the DAG is the
+  // full chain 0 -> 1 -> 2.
   Chain c;
   c.fire(1, c.queue(c.s2, c.s1), true);
   c.fire(2, c.queue(c.s1, c.s0), true);
@@ -119,9 +119,9 @@ TEST(CausalityTest, ClassesDoNotCrossAttribute) {
 }
 
 TEST(CausalityTest, PauseFrameMustHaveArrivedToBeACause) {
-  // The refinement over stats::analyze_pause_cascade: a downstream pause
-  // asserted 0.5 us before the upstream one cannot be its cause over a
-  // 1 us link — the Xoff frame was still in flight.
+  // The arrival-time filter: a downstream pause asserted 0.5 us before the
+  // upstream one cannot be its cause over a 1 us link — the Xoff frame was
+  // still in flight.
   Chain c;
   c.in.pauses.push_back({1'000'000, c.queue(c.s2, c.s1).node,
                          c.queue(c.s2, c.s1).port, 0, true});
@@ -434,6 +434,32 @@ TEST(TraceIoTest, MalformedInputThrowsWithLineNumbers) {
   const LoadedTrace trace = parse_jsonl(bare);
   EXPECT_FALSE(trace.has_topology);
   EXPECT_THROW(input_from_trace(trace), std::runtime_error);
+  // A topology header whose links Topology::add_link would reject (an
+  // undeclared or negative endpoint, a self-link, a negative delay) and an
+  // integer beyond int64_t each fail the parse with the line named.
+  const auto header = [](const std::string& link) {
+    return "{\"schema\":\"dcdl.telemetry.v1\",\"topology\":{\"nodes\":["
+           "{\"kind\":\"switch\",\"name\":\"s0\"},"
+           "{\"kind\":\"switch\",\"name\":\"s1\"}],\"links\":[" +
+           link + "]}}\n";
+  };
+  EXPECT_NO_THROW(parse_jsonl(header("{\"a\":0,\"b\":1,\"delay_ps\":1}")));
+  for (const char* link : {"{\"a\":99,\"b\":1,\"delay_ps\":1}",
+                           "{\"a\":-1,\"b\":1,\"delay_ps\":1}",
+                           "{\"a\":1,\"b\":1,\"delay_ps\":1}",
+                           "{\"a\":0,\"b\":1,\"delay_ps\":-5}"}) {
+    EXPECT_THROW(parse_jsonl(header(link)), std::runtime_error) << link;
+  }
+  const std::string huge_t =
+      "{\"schema\":\"dcdl.telemetry.v1\"}\n"
+      "{\"t_ps\":12345678901234567890123,\"kind\":\"tx_start\"}\n";
+  try {
+    parse_jsonl(huge_t);
+    ADD_FAILURE() << "a 23-digit t_ps must not parse";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIoTest, DataplaneRecordsRoundTripAndRerenderByteIdentically) {
@@ -531,7 +557,7 @@ TEST(TraceIoTest, HybridRegionRecordsRoundTripAndRerenderByteIdentically) {
   EXPECT_EQ(telemetry::to_jsonl(trace.topo, trace.records), jsonl);
 }
 
-// ---------------------------------------------------------------- metrics
+// ---------------------------------------------------------------- summary
 
 TEST(MetricsTest, CascadeSummaryLandsInTheRegistry) {
   Chain c;
@@ -542,18 +568,22 @@ TEST(MetricsTest, CascadeSummaryLandsInTheRegistry) {
   c.in.deadlock_at_ps = 5'000'000;
   const CascadeReport report = analyze(c.in);
 
-  telemetry::MetricsRegistry reg;
-  const CascadeMetricIds ids = register_cascade_metrics(reg);
-  record_cascade(reg, ids, report);
-  const telemetry::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("forensics.pause_spans"), 3);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.cascades"), 1);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.cascade_max_depth"), 2);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.cascade_max_width"), 1);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.triggers.congestion"), 1);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.triggers.routing_loop"), 0);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.time_to_deadlock_ms"), 4e6 / 1e9);
-  EXPECT_DOUBLE_EQ(snap.value("forensics.fanout.count"), 3);
+  // The flat summary every campaign record's telemetry carries, in its
+  // fixed order.
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"forensics.pause_spans", 3},
+      {"forensics.cascades", 1},
+      {"forensics.cascade_max_depth", 2},
+      {"forensics.cascade_max_width", 1},
+      {"forensics.triggers.routing_loop", 0},
+      {"forensics.triggers.host_pause", 0},
+      {"forensics.triggers.congestion", 1},
+      {"forensics.time_to_deadlock_ms", 4e6 / 1e9},
+      {"forensics.fanout.count", 3},
+      {"forensics.fanout.sum", 2},
+      {"forensics.fanout.mean", 2.0 / 3},
+  };
+  EXPECT_EQ(summary(report), expected);
 }
 
 TEST(MetricsTest, ExecutorAppendsForensicsToEveryRecord) {

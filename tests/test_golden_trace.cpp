@@ -17,10 +17,19 @@
 //   Fig1RingDeadlock               0x1f910508462cb0de -> 0xede40e865aa6e9c6
 //   Fig2RoutingLoop                0xf0b42047ad726071 -> 0x895f3f92f941b44e
 //   Fig2RoutingLoopBelowBoundary   0x2e71b4119a39bab9 -> 0xfa46d8e1ec40f00f
+//
+// CampaignRecordDigest pins one level up: the per-record digest a campaign
+// writes (pause_assertions and the flat telemetry list that RunTelemetry
+// and forensics::summary produce), so a refactor of either cannot drift
+// the campaign.v6 artifact unnoticed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "dcdl/campaign/campaign.hpp"
 #include "dcdl/scenarios/scenario.hpp"
 #include "dcdl/stats/hooks.hpp"
 
@@ -37,6 +46,13 @@ class TraceDigest {
       h_ ^= (v >> (8 * i)) & 0xFFu;
       h_ *= 1099511628211ULL;
     }
+  }
+  void mix(const std::string& s) {
+    for (const char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 1099511628211ULL;
+    }
+    mix(s.size());
   }
   void event(std::uint8_t kind, Time t, std::uint64_t a, std::uint64_t b) {
     mix(kind);
@@ -107,6 +123,47 @@ TEST(GoldenTrace, Fig2RoutingLoopBelowBoundary) {
   p.inject = Rate::gbps(4);
   scenarios::Scenario s = scenarios::make_routing_loop(p);
   EXPECT_EQ(digest_run(s, 2_ms), 0xfa46d8e1ec40f00fULL);
+}
+
+TEST(GoldenTrace, CampaignRecordDigest) {
+  // Four cells: a deadlocking and a TTL-draining loop (ttl_expired drops,
+  // routing-loop triggers), a valley cascade whose dataplane recovery
+  // flushes queues (dataplane_reset drops), and the Fig. 4 ring. Values
+  // are mixed as the JSON sink prints them.
+  campaign::ScenarioRegistry reg;
+  campaign::register_builtin_scenarios(reg);
+  std::vector<campaign::RunSpec> runs;
+  for (const auto& [scenario, sets] :
+       {std::pair{"routing_loop", "inject=8"},
+        std::pair{"routing_loop", "inject=4"},
+        std::pair{"valley", "dataplane=drop"},
+        std::pair{"four_switch", "with_flow3=true"}}) {
+    campaign::SweepSpec spec;
+    spec.scenario = scenario;
+    campaign::apply_sets(spec.base, sets);
+    spec.run_for = 4_ms;
+    spec.drain_grace = 10_ms;
+    for (campaign::RunSpec& r : campaign::expand(spec)) {
+      runs.push_back(std::move(r));
+    }
+  }
+  campaign::ExecutorOptions opts;
+  opts.jobs = 1;
+  const campaign::CampaignResult result =
+      campaign::CampaignExecutor(reg, opts).run(runs);
+  ASSERT_EQ(result.records.size(), 4u);
+  TraceDigest d;
+  for (const campaign::RunRecord& rec : result.records) {
+    ASSERT_EQ(rec.status, campaign::RunStatus::kOk) << rec.error;
+    ASSERT_EQ(rec.telemetry.size(), 33u)
+        << "22 net.*/sim.* entries + 11 forensics.*";
+    d.mix(rec.pause_assertions);
+    for (const auto& [name, value] : rec.telemetry) {
+      d.mix(name);
+      d.mix(campaign::format_double(value));
+    }
+  }
+  EXPECT_EQ(d.value(), 0x0d0942a26a8a93efULL);
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dcdl/analysis/deadlock.hpp"
 #include "dcdl/campaign/campaign.hpp"
 #include "dcdl/scenarios/scenario.hpp"
+#include "dcdl/stats/hooks.hpp"
 #include "dcdl/stats/pause_log.hpp"
 #include "dcdl/telemetry/telemetry.hpp"
 
@@ -124,99 +127,58 @@ TEST(FlightRecorderTest, AttachOptionsMaskCategories) {
 
 // --------------------------------------------------------------- metrics
 
+/// The value recorded under `name` in a flat snapshot; NaN when absent.
+double value_of(const std::vector<std::pair<std::string, double>>& flat,
+                const std::string& name) {
+  for (const auto& [n, v] : flat) {
+    if (n == name) return v;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
 TEST(MetricsRegistryTest, CountersGaugesHistograms) {
+  // Counters and gauges only: distributions live in probe::LogHistogram,
+  // and the per-run size "histogram" is three gauges (RunTelemetry).
   MetricsRegistry reg;
   const CounterId c = reg.counter("c");
   const GaugeId g = reg.gauge("g");
-  const HistogramId h = reg.histogram("h", {10, 100});
+  const CounterId d = reg.counter("d");
 
   reg.add(c);
   reg.add(c, 41);
   reg.set(g, -2.5);
-  reg.observe(h, 5);     // bucket 0 (<= 10)
-  reg.observe(h, 10);    // bucket 0 (inclusive upper bound)
-  reg.observe(h, 50);    // bucket 1
-  reg.observe(h, 1000);  // overflow bucket
 
   EXPECT_EQ(reg.counter_value(c), 42u);
+  EXPECT_EQ(reg.counter_value(d), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge_value(g), -2.5);
-  EXPECT_EQ(reg.histogram_count(h), 4u);
-
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.items.size(), 3u);
-  EXPECT_EQ(snap.items[0].name, "c");
-  EXPECT_EQ(snap.items[2].kind, MetricKind::kHistogram);
-  EXPECT_EQ(snap.items[2].buckets, (std::vector<std::uint64_t>{2, 1, 1}));
-  EXPECT_DOUBLE_EQ(snap.items[2].sum, 1065);
-
-  const auto flat = snap.flatten();
-  EXPECT_DOUBLE_EQ(snap.value("c"), 42);
-  EXPECT_DOUBLE_EQ(snap.value("h.count"), 4);
-  EXPECT_DOUBLE_EQ(snap.value("h.mean"), 1065.0 / 4);
-  EXPECT_DOUBLE_EQ(snap.value("absent", -1), -1);
-  ASSERT_EQ(flat.size(), 5u);  // c, g, h.count, h.sum, h.mean
-}
-
-TEST(MetricsRegistryTest, HistogramBoundarySemanticsArePinned) {
-  // Pins the inclusive-upper-edge contract documented on observe(): a value
-  // exactly on a boundary belongs to the bucket that boundary closes, and
-  // the first value past the last bound saturates into overflow. These
-  // semantics are part of every exported artifact, so a change here is a
-  // schema change.
-  MetricsRegistry reg;
-  const HistogramId h = reg.histogram("h", {10, 100, 1000});
-  reg.observe(h, 9.999);   // bucket 0
-  reg.observe(h, 10);      // bucket 0: boundary closes the bucket below
-  reg.observe(h, 10.001);  // bucket 1: first value past the boundary
-  reg.observe(h, 100);     // bucket 1
-  reg.observe(h, 1000);    // bucket 2: the last bound is still inclusive
-  reg.observe(h, 1000.5);  // overflow
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.items[0].buckets, (std::vector<std::uint64_t>{2, 2, 1, 1}));
-  EXPECT_EQ(reg.histogram_count(h), 6u);
-  EXPECT_DOUBLE_EQ(snap.items[0].sum, 9.999 + 10 + 10.001 + 100 + 1000 +
-                                          1000.5);
-}
-
-TEST(MetricsRegistryTest, HistogramNonFiniteSaturatesIntoOverflow) {
-  // NaN/+inf/-inf land in the overflow bucket, count, and stay out of the
-  // sum — one bad sample must not poison the mean or leak into the
-  // smallest bucket via a false NaN comparison.
-  MetricsRegistry reg;
-  const HistogramId h = reg.histogram("h", {10, 100});
-  reg.observe(h, 5);
-  reg.observe(h, std::numeric_limits<double>::quiet_NaN());
-  reg.observe(h, std::numeric_limits<double>::infinity());
-  reg.observe(h, -std::numeric_limits<double>::infinity());
-  const MetricsSnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.items[0].buckets, (std::vector<std::uint64_t>{1, 0, 3}));
-  EXPECT_EQ(reg.histogram_count(h), 4u);
-  EXPECT_DOUBLE_EQ(snap.items[0].sum, 5)
-      << "non-finite observations are excluded from the sum; the count/sum "
-         "discrepancy is the signal they happened";
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"c", 42}, {"g", -2.5}, {"d", 0}};
+  EXPECT_EQ(reg.snapshot(), expected) << "flat, in registration order";
 }
 
 TEST(RunTelemetryTest, EveryDropReasonRoutesToItsOwnCounter) {
-  // Regression: the dropped-hook closure once captured only four of the
-  // five per-reason counter ids, so kDataplaneReset drops incremented a
-  // value-initialized id — slot 0, net.pfc_xoff_total. Fire one drop of
-  // every reason and check each counter reads exactly 1 and the pfc
-  // counter stays 0.
-  RoutingLoopParams p;
-  Scenario s = make_routing_loop(p);
-  RunTelemetry telem(*s.net);
-  Packet pkt{};
-  for (int r = 0; r < kNumDropReasons; ++r) {
-    s.net->trace().dropped(Time::zero(), pkt, NodeId{0},
-                           static_cast<DropReason>(r));
-  }
-  const MetricsRegistry& reg = telem.registry();
-  for (int r = 0; r < kNumDropReasons; ++r) {
-    EXPECT_EQ(reg.counter_value(telem.ids().dropped[r]), 1u)
-        << "reason " << to_string(static_cast<DropReason>(r));
-  }
-  EXPECT_EQ(reg.counter_value(telem.ids().pfc_xoff), 0u)
-      << "a drop must never bleed into the pfc_xoff counter";
+  // Each net.dropped_packets_total.<reason> entry reads Network::drops for
+  // exactly that reason. The loop drains by TTL expiry; a valley cascade
+  // with the in-band pipeline on recovers by flushing (dataplane_reset).
+  const auto check = [](Scenario s, DropReason seen) {
+    RunTelemetry telem(*s.net);
+    s.sim->run_until(6_ms);
+    const auto snap = telem.snapshot();
+    ASSERT_GT(s.net->drops(seen), 0u) << to_string(seen);
+    for (int r = 0; r < kNumDropReasons; ++r) {
+      const auto reason = static_cast<DropReason>(r);
+      EXPECT_EQ(value_of(snap, std::string("net.dropped_packets_total.") +
+                                   to_string(reason)),
+                static_cast<double>(s.net->drops(reason)))
+          << "reason " << to_string(reason);
+    }
+  };
+  RoutingLoopParams loop;
+  loop.inject = Rate::gbps(4);
+  check(make_routing_loop(loop), DropReason::kTtlExpired);
+  ValleyViolationParams valley;
+  valley.dataplane.policy = dataplane::RecoveryPolicy::kDrop;
+  check(make_valley_violation(valley), DropReason::kDataplaneReset);
 }
 
 TEST(MetricsRegistryTest, RegistrationIsIdempotentButKindChecked) {
@@ -226,9 +188,10 @@ TEST(MetricsRegistryTest, RegistrationIsIdempotentButKindChecked) {
   EXPECT_EQ(a.v, b.v);
   EXPECT_EQ(reg.size(), 1u);
   EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
-  reg.histogram("hist", {1, 2});
-  EXPECT_NO_THROW(reg.histogram("hist", {1, 2}));
-  EXPECT_THROW(reg.histogram("hist", {1, 2, 3}), std::invalid_argument);
+  const GaugeId g = reg.gauge("y");
+  EXPECT_EQ(reg.gauge("y").v, g.v);
+  EXPECT_THROW(reg.counter("y"), std::invalid_argument);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(RunTelemetryTest, CountsMatchIndependentObservers) {
@@ -245,12 +208,33 @@ TEST(RunTelemetryTest, CountsMatchIndependentObservers) {
   EXPECT_EQ(reg.counter_value(telem.ids().pfc_xoff), xoff);
   EXPECT_EQ(reg.counter_value(telem.ids().pfc_xon), xon);
 
-  const MetricsSnapshot snap = telem.snapshot();
-  EXPECT_DOUBLE_EQ(snap.value("sim.events_executed"),
+  const auto snap = telem.snapshot();
+  EXPECT_DOUBLE_EQ(value_of(snap, "sim.events_executed"),
                    static_cast<double>(s.sim->events_executed()));
-  EXPECT_GT(snap.value("net.tx_start_total"), 0);
-  EXPECT_GT(snap.value("net.dropped_packets_total.ttl_expired"), 0)
+  EXPECT_GT(value_of(snap, "net.tx_start_total"), 0);
+  EXPECT_GT(value_of(snap, "net.dropped_packets_total.ttl_expired"), 0)
       << "the routing loop drains by TTL expiry";
+
+  // The delivered-size triple against an observer of its own (the loop
+  // delivers nothing, so count deliveries on the Fig. 3 two-flow case).
+  Scenario f = make_four_switch(FourSwitchParams{});
+  std::uint64_t delivered = 0, delivered_bytes = 0;
+  stats::append_hook(f.net->trace().delivered,
+                     [&](Time, const Packet& pkt) {
+                       ++delivered;
+                       delivered_bytes += pkt.size_bytes;
+                     });
+  RunTelemetry delivered_telem(*f.net);
+  f.sim->run_until(2_ms);
+  const auto sizes = delivered_telem.snapshot();
+  ASSERT_GT(delivered, 0u);
+  EXPECT_DOUBLE_EQ(value_of(sizes, "net.delivered_packet_bytes.count"),
+                   static_cast<double>(delivered));
+  EXPECT_DOUBLE_EQ(value_of(sizes, "net.delivered_packet_bytes.sum"),
+                   static_cast<double>(delivered_bytes));
+  EXPECT_DOUBLE_EQ(value_of(sizes, "net.delivered_packet_bytes.mean"),
+                   static_cast<double>(delivered_bytes) /
+                       static_cast<double>(delivered));
 }
 
 TEST(RunTelemetryTest, SnapshotIsDeterministicAcrossRuns) {
@@ -260,7 +244,7 @@ TEST(RunTelemetryTest, SnapshotIsDeterministicAcrossRuns) {
     Scenario s = make_routing_loop(p);
     RunTelemetry telem(*s.net);
     s.sim->run_until(2_ms);
-    return telem.snapshot().flatten();
+    return telem.snapshot();
   };
   EXPECT_EQ(run(), run());
 }
