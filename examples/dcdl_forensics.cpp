@@ -14,6 +14,12 @@
 // forensics tooling landed does); older topology-less dumps are rejected
 // with a pointer to re-record.
 //
+// Exit codes: 0 report printed; 2 bad usage or an input that is not a
+// sound dump, with an error naming the line: unreadable, not JSON, a field
+// out of range (node or port outside the header's topology, class at or
+// above kMaxClasses, flow or bytes beyond 32 bits), or a header whose
+// record_count differs from the records read.
+//
 // Flags:
 //   --dot <file>       also write the causality DAG as Graphviz DOT
 //   --perfetto <file>  also re-export the records as Chrome trace_event

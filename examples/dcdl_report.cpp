@@ -20,6 +20,14 @@
 // first *.json in --dir bearing a dcdl.campaign schema), --out <file>
 // (default stdout).
 //
+// Malformed input (read with the strict json reader) is noted under
+// "Skipped artifacts", never fatal: an unreadable timeseries file or header
+// (a non-integer `ticks` included) or an auto-detected campaign JSON that
+// does not parse is skipped; a file cut short or holding a malformed row
+// (the read stops there) is summarized from the rows read. Exit codes: 0
+// report written, 1 nothing to report, 2 bad flags, --dir not a directory,
+// or a --json file that cannot be read or parsed.
+//
 // Determinism: files are scanned in sorted name order and every number is
 // formatted with fixed printf precision, so re-running the report over the
 // same directory diffs clean (the acceptance bar for all probe artifacts).
@@ -27,79 +35,53 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dcdl/campaign/campaign.hpp"
 #include "dcdl/common/flags.hpp"
+#include "dcdl/common/json.hpp"
 
 namespace fs = std::filesystem;
+namespace json = dcdl::json;
 
 namespace {
 
-// ---- minimal line/object scanners (same idiom as forensics/trace_io) ----
-
-std::optional<double> find_num(const std::string& s, const char* key,
-                               std::size_t from = 0) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = s.find(needle, from);
-  if (at == std::string::npos) return std::nullopt;
-  const char* p = s.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(p, &end);
-  if (end == p) return std::nullopt;
-  return v;
+/// The file's bytes, or nullopt when it cannot be read.
+std::optional<std::string> slurp(const fs::path& path) {
+  std::FILE* f = std::fopen(path.string().c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::string content;
+  char buf[1 << 14];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  const bool bad = std::ferror(f) != 0;
+  std::fclose(f);
+  if (bad) return std::nullopt;
+  return content;
 }
 
-std::optional<std::string> find_string(const std::string& s, const char* key,
-                                       std::size_t from = 0) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const std::size_t at = s.find(needle, from);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = s.find('"', begin);
-  if (end == std::string::npos) return std::nullopt;
-  return s.substr(begin, end - begin);
-}
-
-std::optional<bool> find_bool(const std::string& s, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = s.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  return s.compare(at + needle.size(), 4, "true") == 0;
-}
-
-/// Content between the balanced brackets opening at s[open].
-std::string bracket_region(const std::string& s, std::size_t open,
-                           char open_ch, char close_ch) {
-  int depth = 0;
-  for (std::size_t p = open; p < s.size(); ++p) {
-    if (s[p] == open_ch) ++depth;
-    if (s[p] == close_ch && --depth == 0) {
-      return s.substr(open + 1, p - open - 1);
-    }
+/// The non-negative integer at `key`; throws json::Error naming the key.
+long long count_of(const json::Value& obj, const char* key) {
+  const json::Value& v = obj.at(key);
+  try {
+    const long long n = v.as_int();
+    if (n >= 0) return n;
+  } catch (const json::Error&) {
   }
-  return std::string();
+  throw json::Error(std::string("\"") + key +
+                    "\" is not a non-negative integer");
 }
 
-/// Splits a "{...},{...}" array body into its top-level objects.
-std::vector<std::string> split_objects(const std::string& body) {
-  std::vector<std::string> out;
-  int depth = 0;
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < body.size(); ++p) {
-    if (body[p] == '{') {
-      if (depth == 0) begin = p;
-      ++depth;
-    } else if (body[p] == '}') {
-      if (--depth == 0) out.push_back(body.substr(begin, p - begin + 1));
-    }
-  }
-  return out;
+double number_or(const json::Value& obj, const char* key,
+                 double fallback) {
+  const json::Value* v = obj.find(key);
+  return v != nullptr ? v->as_double() : fallback;
 }
 
 // ---- dcdl.timeseries.v1 artifact ----
@@ -125,108 +107,105 @@ struct TsArtifact {
   double peak_queue_bytes = 0;
   double peak_queue_ms = -1;
   double end_active_pauses = 0;
-  long long data_rows = 0;  ///< sample lines actually present in the file
+  long long data_rows = 0;  ///< sample rows read before any bad line
+  std::string bad_line;     ///< why the read stopped early, if it did
 };
 
+/// Folds one sample or histogram line into `out`; throws on a malformed one.
+void read_row(const json::Value& row, TsArtifact& out, int queue_idx,
+              int pause_idx) {
+  const auto num = [&](const char* key) { return row.at(key).as_double(); };
+  if (const json::Value* h = row.find("hist")) {
+    out.hists.push_back(HistRow{h->as_string(), num("count"), num("p50"),
+                                num("p90"), num("p99"), num("p999"),
+                                num("max")});
+    return;
+  }
+  const double t_ps = num("t_ps");
+  const std::vector<json::Value>& vals = row.at("v").items();
+  if (vals.size() != out.series.size()) {
+    throw json::Error("row holds " + std::to_string(vals.size()) +
+                      " value(s) for " + std::to_string(out.series.size()) +
+                      " series");
+  }
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    const double v = vals[i].as_double();
+    SeriesAgg& s = out.series[i];
+    s.max = std::max(s.max, v);
+    s.mean += v;  // divided by the rows read after the scan
+    s.last = v;
+    if (int(i) == pause_idx && v > 0 && out.first_pause_ms < 0) {
+      out.first_pause_ms = t_ps / 1e9;
+    }
+    if (int(i) == queue_idx && v > out.peak_queue_bytes) {
+      out.peak_queue_bytes = v;
+      out.peak_queue_ms = t_ps / 1e9;
+    }
+  }
+  ++out.data_rows;
+}
+
 /// Loads one dcdl.timeseries.v1 artifact. On failure `why` explains what
-/// was wrong (unreadable, wrong schema) so the report can carry a
-/// skipped-artifacts note instead of silently dropping the file.
+/// was wrong (unreadable, wrong schema, a bad header) so the report can
+/// carry a skipped-artifacts note instead of silently dropping the file. A
+/// bad row stops the read; the rows before it are summarized.
 std::optional<TsArtifact> load_timeseries(const fs::path& path,
                                           std::string& why) {
-  std::FILE* f = std::fopen(path.string().c_str(), "r");
-  if (!f) {
+  const std::optional<std::string> content = slurp(path);
+  if (!content) {
     why = "unreadable";
     return std::nullopt;
   }
-  std::string content;
-  char buf[1 << 14];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
-
   TsArtifact out;
   out.stem = path.filename().string();
   out.stem.resize(out.stem.size() - std::string(".timeseries.jsonl").size());
 
-  std::size_t pos = 0;
+  std::size_t pos = 0, line_no = 0;
   bool header_seen = false;
   int queue_idx = -1, pause_idx = -1;
-  while (pos < content.size()) {
-    std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    const std::string line = content.substr(pos, eol - pos);
+  while (pos < content->size() && out.bad_line.empty()) {
+    std::size_t eol = content->find('\n', pos);
+    if (eol == std::string::npos) eol = content->size();
+    const std::string_view line(content->data() + pos, eol - pos);
     pos = eol + 1;
+    ++line_no;
     if (line.empty()) continue;
-    if (!header_seen) {
-      if (find_string(line, "schema").value_or("") != "dcdl.timeseries.v1") {
+    try {
+      const json::Value row = json::parse(line);
+      if (header_seen) {
+        read_row(row, out, queue_idx, pause_idx);
+        continue;
+      }
+      const json::Value* schema = row.find("schema");
+      if (schema == nullptr || schema->as_string() != "dcdl.timeseries.v1") {
         why = "not a dcdl.timeseries.v1 artifact";
         return std::nullopt;
       }
-      out.interval_ps = find_num(line, "interval_ps").value_or(0);
-      out.ticks = static_cast<long long>(find_num(line, "ticks").value_or(0));
-      out.dropped =
-          static_cast<long long>(find_num(line, "dropped_ticks").value_or(0));
-      const std::size_t at = line.find("\"series\":");
-      const std::string names =
-          bracket_region(line, line.find('[', at), '[', ']');
-      std::size_t q = 0;
-      while ((q = names.find('"', q)) != std::string::npos) {
-        const std::size_t end = names.find('"', q + 1);
-        if (end == std::string::npos) break;
-        out.series.push_back(SeriesAgg{names.substr(q + 1, end - q - 1)});
-        q = end + 1;
+      out.interval_ps = static_cast<double>(count_of(row, "interval_ps"));
+      out.ticks = count_of(row, "ticks");
+      out.dropped = count_of(row, "dropped_ticks");
+      for (const json::Value& name : row.at("series").items()) {
+        out.series.push_back(SeriesAgg{name.as_string()});
       }
       for (std::size_t i = 0; i < out.series.size(); ++i) {
         if (out.series[i].name == "queue_bytes") queue_idx = int(i);
         if (out.series[i].name == "pfc.active_pauses") pause_idx = int(i);
       }
       header_seen = true;
-      continue;
-    }
-    if (const auto h = find_string(line, "hist")) {
-      HistRow row;
-      row.name = *h;
-      row.count = find_num(line, "count").value_or(0);
-      row.p50 = find_num(line, "p50").value_or(0);
-      row.p90 = find_num(line, "p90").value_or(0);
-      row.p99 = find_num(line, "p99").value_or(0);
-      row.p999 = find_num(line, "p999").value_or(0);
-      row.max = find_num(line, "max").value_or(0);
-      out.hists.push_back(std::move(row));
-      continue;
-    }
-    const auto t_ps = find_num(line, "t_ps");
-    if (!t_ps) continue;
-    ++out.data_rows;
-    const std::size_t at = line.find("\"v\":");
-    if (at == std::string::npos) continue;
-    const std::string vals = bracket_region(line, line.find('[', at),
-                                            '[', ']');
-    const char* p = vals.c_str();
-    for (std::size_t i = 0; i < out.series.size(); ++i) {
-      char* end = nullptr;
-      const double v = std::strtod(p, &end);
-      if (end == p) break;
-      p = *end == ',' ? end + 1 : end;
-      SeriesAgg& s = out.series[i];
-      s.max = std::max(s.max, v);
-      s.mean += v;  // divided by tick count after the scan
-      s.last = v;
-      if (int(i) == pause_idx && v > 0 && out.first_pause_ms < 0) {
-        out.first_pause_ms = *t_ps / 1e9;
+    } catch (const json::Error& e) {
+      if (!header_seen) {
+        why = std::string("bad header: ") + e.what();
+        return std::nullopt;
       }
-      if (int(i) == queue_idx && v > out.peak_queue_bytes) {
-        out.peak_queue_bytes = v;
-        out.peak_queue_ms = *t_ps / 1e9;
-      }
+      out.bad_line = "line " + std::to_string(line_no) + ": " + e.what();
     }
   }
   if (!header_seen) {
     why = "truncated before the header line";
     return std::nullopt;
   }
-  if (out.ticks > 0) {
-    for (SeriesAgg& s : out.series) s.mean /= static_cast<double>(out.ticks);
+  for (SeriesAgg& s : out.series) {
+    if (out.data_rows > 0) s.mean /= static_cast<double>(out.data_rows);
   }
   if (pause_idx >= 0) out.end_active_pauses = out.series[size_t(pause_idx)].last;
   return out;
@@ -245,35 +224,6 @@ struct RunRow {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-/// Parses the flat `"name":value,...` pairs of the named subobject of
-/// `obj` (the campaign JSON's "probe"/"alerts" digests). Non-numeric
-/// values are skipped.
-std::vector<std::pair<std::string, double>> parse_metric_object(
-    const std::string& obj, const char* key) {
-  std::vector<std::pair<std::string, double>> out;
-  const std::string needle = std::string("\"") + key + "\":{";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return out;
-  const std::string body =
-      bracket_region(obj, at + needle.size() - 1, '{', '}');
-  std::size_t p = 0;
-  while (p < body.size()) {
-    const std::size_t q = body.find('"', p);
-    if (q == std::string::npos) break;
-    const std::size_t q2 = body.find('"', q + 1);
-    if (q2 == std::string::npos) break;
-    p = q2 + 1;
-    if (p >= body.size() || body[p] != ':') continue;
-    char* end = nullptr;
-    const char* num = body.c_str() + p + 1;
-    const double v = std::strtod(num, &end);
-    if (end == num) continue;
-    out.emplace_back(body.substr(q + 1, q2 - q - 1), v);
-    p = static_cast<std::size_t>(end - body.c_str());
-  }
-  return out;
-}
-
 /// Removes the derived per-run "seed" entry from a flattened params string
 /// ("inject_gbps:7,seed:123" -> "inject_gbps:7"): seeds distinguish
 /// replicas, not identity classes, so the anomaly grouping must ignore
@@ -290,34 +240,41 @@ std::string strip_seed(const std::string& params) {
   return params;
 }
 
-std::vector<RunRow> load_campaign(const std::string& content) {
+/// The run table of a parsed dcdl.campaign.v* document; throws json::Error
+/// when it is not one.
+std::vector<RunRow> load_campaign(const json::Value& doc) {
+  const std::string& schema = doc.at("schema").as_string();
+  if (schema.rfind("dcdl.campaign.", 0) != 0) {
+    throw json::Error("schema '" + schema + "' is not dcdl.campaign");
+  }
   std::vector<RunRow> rows;
-  const std::size_t at = content.find("\"runs\":");
-  if (at == std::string::npos) return rows;
-  const std::string body =
-      bracket_region(content, content.find('[', at), '[', ']');
-  for (const std::string& obj : split_objects(body)) {
+  for (const json::Value& obj : doc.at("runs").items()) {
     RunRow row;
-    row.run = static_cast<long long>(find_num(obj, "run").value_or(-1));
-    row.scenario = find_string(obj, "scenario").value_or("?");
-    row.status = find_string(obj, "status").value_or("?");
-    row.deadlocked = find_bool(obj, "deadlocked").value_or(false);
-    row.goodput = find_num(obj, "goodput_gbps").value_or(0);
-    row.detect_ns = find_num(obj, "detection_latency_ns").value_or(-1);
-    row.recover_ns = find_num(obj, "recovery_time_ns").value_or(-1);
-    const std::size_t pat = obj.find("\"params\":");
-    if (pat != std::string::npos) {
-      row.params = bracket_region(obj, obj.find('{', pat), '{', '}');
-      std::erase(row.params, '"');
+    row.run = obj.at("run").as_int();
+    row.scenario = obj.at("scenario").as_string();
+    row.status = obj.at("status").as_string();
+    if (const json::Value* d = obj.find("deadlocked")) {
+      row.deadlocked = d->as_bool();
+    }
+    row.goodput = number_or(obj, "goodput_gbps", 0);
+    row.detect_ns = number_or(obj, "detection_latency_ns", -1);
+    row.recover_ns = number_or(obj, "recovery_time_ns", -1);
+    for (const json::Member& p : obj.at("params").members()) {
+      if (!row.params.empty()) row.params += ',';
+      row.params += p.key + ":" + p.value.text();
     }
     row.metrics.emplace_back("goodput_gbps", row.goodput);
-    for (auto& [name, v] : parse_metric_object(obj, "probe")) {
-      row.metrics.emplace_back("probe." + name, v);
-    }
-    for (auto& [name, v] : parse_metric_object(obj, "alerts")) {
-      if (name == "fired.critical") row.critical_fires = v;
-      if (name == "lead_ms") row.lead_ms = v;
-      row.metrics.emplace_back("alerts." + name, v);
+    for (const char* digest : {"probe", "alerts"}) {
+      const json::Value* d = obj.find(digest);
+      if (d == nullptr) continue;
+      for (const json::Member& m : d->members()) {
+        const double v = m.value.as_double();
+        if (std::string_view(digest) == "alerts") {
+          if (m.key == "fired.critical") row.critical_fires = v;
+          if (m.key == "lead_ms") row.lead_ms = v;
+        }
+        row.metrics.emplace_back(std::string(digest) + "." + m.key, v);
+      }
     }
     rows.push_back(std::move(row));
   }
@@ -434,33 +391,45 @@ int main(int argc, char** argv) {
   std::sort(ts_files.begin(), ts_files.end());
   std::sort(json_files.begin(), json_files.end());
 
-  auto slurp = [](const fs::path& p) {
-    std::string content;
-    if (std::FILE* f = std::fopen(p.string().c_str(), "r")) {
-      char buf[1 << 14];
-      std::size_t n;
-      while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-        content.append(buf, n);
-      }
-      std::fclose(f);
-    }
-    return content;
+  // Partial-directory notes: a sweep that was interrupted (or whose files
+  // were pruned) yields a report with this section instead of an abort.
+  std::vector<std::string> skipped;
+  const auto skip = [&](const fs::path& p, const std::string& why) {
+    skipped.push_back("`" + p.filename().string() + "` — " + why);
+    std::fprintf(stderr, "dcdl_report: skipping '%s' (%s)\n",
+                 p.string().c_str(), why.c_str());
   };
 
-  std::string campaign;
+  // An explicit --json must load. Without one, the first *.json naming a
+  // dcdl.campaign schema is the campaign; if it does not parse, it gets a
+  // note and the report goes on without the run table.
+  std::vector<RunRow> runs;
   if (!json_path.empty()) {
-    campaign = slurp(json_path);
+    try {
+      const std::optional<std::string> content = slurp(json_path);
+      if (!content) throw std::runtime_error("cannot read it");
+      runs = load_campaign(json::parse(*content));
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "dcdl_report: campaign JSON '%s': %s\n",
+                   json_path.c_str(), e.what());
+      return 2;
+    }
   } else {
     for (const fs::path& p : json_files) {
-      const std::string content = slurp(p);
-      if (content.find("\"schema\":\"dcdl.campaign.") != std::string::npos) {
-        campaign = content;
-        json_path = p.string();
-        break;
+      const std::optional<std::string> content = slurp(p);
+      if (!content ||
+          content->find("\"schema\":\"dcdl.campaign.") == std::string::npos) {
+        continue;
       }
+      try {
+        runs = load_campaign(json::parse(*content));
+        json_path = p.string();
+      } catch (const json::Error& e) {
+        skip(p, std::string("unreadable campaign JSON: ") + e.what());
+      }
+      break;
     }
   }
-  const std::vector<RunRow> runs = load_campaign(campaign);
 
   std::string md;
   append(md, "# dcdl campaign report\n\n");
@@ -533,28 +502,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Partial-directory notes: a sweep that was interrupted (or whose files
-  // were pruned) yields a report with this section instead of an abort.
-  std::vector<std::string> skipped;
-
   std::size_t loaded = 0;
   for (const fs::path& p : ts_files) {
     std::string why;
     const std::optional<TsArtifact> ts = load_timeseries(p, why);
     if (!ts) {
-      skipped.push_back("`" + p.filename().string() + "` — " + why);
-      std::fprintf(stderr, "dcdl_report: skipping '%s' (%s)\n",
-                   p.string().c_str(), why.c_str());
+      skip(p, why);
       continue;
     }
-    const long long expected_rows = ts->ticks - ts->dropped;
-    if (ts->data_rows < expected_rows) {
+    if (!ts->bad_line.empty()) {
+      skipped.push_back("`" + p.filename().string() + "` — " + ts->bad_line +
+                        "; read stopped there");
+    }
+    if (ts->data_rows < ts->ticks) {
       char note[256];
       std::snprintf(note, sizeof(note),
                     "`%s` — truncated: header declares %lld sample row(s), "
                     "file holds %lld (summarized as-is)",
-                    p.filename().string().c_str(), expected_rows,
-                    ts->data_rows);
+                    p.filename().string().c_str(), ts->ticks, ts->data_rows);
       skipped.push_back(note);
     }
     ++loaded;

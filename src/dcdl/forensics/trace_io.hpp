@@ -4,10 +4,11 @@
 // for every CLI since the forensics PR) — rebuilds the Topology so the
 // causal analysis can run anywhere, long after the simulation exited.
 //
-// The parser is a focused scanner for the exact machine-generated format
-// the exporters emit (fixed field order per kind, one object per line);
-// it is not a general JSON parser. Malformed input throws
-// std::runtime_error with the offending line number.
+// Each line goes through the strict json::parse. Record and cycle fields
+// are range-checked (node and port against the header's topology, or their
+// widths without one; class below kMaxClasses; flow and bytes as uint32),
+// and the header's record_count must match the records read. Malformed
+// input throws std::runtime_error naming the offending line.
 #pragma once
 
 #include <optional>

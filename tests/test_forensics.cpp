@@ -450,16 +450,74 @@ TEST(TraceIoTest, MalformedInputThrowsWithLineNumbers) {
                            "{\"a\":0,\"b\":1,\"delay_ps\":-5}"}) {
     EXPECT_THROW(parse_jsonl(header(link)), std::runtime_error) << link;
   }
-  const std::string huge_t =
-      "{\"schema\":\"dcdl.telemetry.v1\"}\n"
-      "{\"t_ps\":12345678901234567890123,\"kind\":\"tx_start\"}\n";
-  try {
-    parse_jsonl(huge_t);
-    ADD_FAILURE() << "a 23-digit t_ps must not parse";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-        << e.what();
+  const auto expect_line = [](const std::string& dump, const char* line) {
+    try {
+      parse_jsonl(dump);
+      ADD_FAILURE() << "must not parse:\n" << dump.substr(0, 400);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_line("{\"schema\":\"dcdl.telemetry.v1\"}\n"
+              "{\"t_ps\":12345678901234567890123,\"kind\":\"tx_start\"}\n",
+              "line 2");
+
+  // A real 4-node dump (the routing loop: two switches, two hosts). Each
+  // record field is range-checked against the header's topology and its
+  // own width, and the header's record_count against the records read.
+  RoutingLoopParams p;
+  p.inject = Rate::gbps(7);
+  Scenario s = make_routing_loop(p);
+  telemetry::FlightRecorder rec;
+  rec.attach(*s.net);
+  s.sim->run_until(1_ms);
+  const std::string dump = telemetry::to_jsonl(*s.topo, rec.snapshot());
+  ASSERT_EQ(s.topo->node_count(), 4u);
+  // The header of a one-record dump of the same fabric.
+  const std::string one = telemetry::to_jsonl(
+      *s.topo, std::vector<telemetry::TraceRecord>(1));
+  const std::string head = one.substr(0, one.find('\n') + 1);
+  const std::string xoff = "{\"t_ps\":5,\"kind\":\"pfc_xoff\",";
+  for (const std::string& bad :
+       {xoff + "\"node\":99,\"port\":0,\"cls\":0}",
+        xoff + "\"node\":0,\"port\":65536,\"cls\":256}",
+        xoff + "\"node\":0,\"port\":1,\"cls\":256}",
+        xoff + "\"node\":1.5,\"port\":0,\"cls\":0}",
+        xoff + "\"node\":0,\"port\":9,\"cls\":0}",
+        xoff + "\"node\":0,\"port\":0,\"cls\":0",
+        xoff + "\"node\":0,\"port\":0,\"cls\":0} trailing",
+        std::string("{\"t_ps\":5,\"kind\":\"delivered\",\"node\":2,") +
+            "\"cls\":0,\"flow\":4294967296,\"bytes\":1000}"}) {
+    expect_line(head + bad + "\n", "line 2");
   }
+  std::size_t cut = 0;
+  for (int line = 0; line < 100; ++line) cut = dump.find('\n', cut) + 1;
+  ASSERT_LT(cut, dump.size()) << "the dump must outlast 100 lines";
+  expect_line(dump.substr(0, cut), "line 1");
+
+  // An absent port stays kInvalidPort; a region_state record's node is a
+  // region index, not a NodeId; without a topology only widths apply.
+  const auto one_record = [](const std::string& header,
+                             const std::string& record) {
+    const LoadedTrace t = parse_jsonl(header + record + "\n");
+    EXPECT_EQ(t.records.size(), 1u);
+    return t.records.empty() ? telemetry::TraceRecord{} : t.records.front();
+  };
+  EXPECT_EQ(one_record(head, "{\"t_ps\":5,\"kind\":\"delivered\",\"node\":3,"
+                             "\"cls\":0,\"flow\":1,\"bytes\":1000}")
+                .port,
+            kInvalidPort);
+  EXPECT_EQ(one_record(head, "{\"t_ps\":5,\"kind\":\"region_state\","
+                             "\"region\":99,\"level\":\"packet\"}")
+                .node,
+            99u);
+  const std::string bare_head = "{\"schema\":\"dcdl.telemetry.v1\"}\n";
+  EXPECT_EQ(one_record(bare_head, xoff + "\"node\":99,\"port\":7,\"cls\":7}")
+                .node,
+            99u);
+  expect_line(bare_head + xoff + "\"node\":99,\"port\":65536,\"cls\":0}\n",
+              "line 2");
 }
 
 TEST(TraceIoTest, DataplaneRecordsRoundTripAndRerenderByteIdentically) {

@@ -6,12 +6,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dcdl/campaign/campaign.hpp"
+#include "dcdl/common/json.hpp"
 #include "dcdl/probe/export.hpp"
 #include "dcdl/probe/histogram.hpp"
 #include "dcdl/probe/probe.hpp"
@@ -268,16 +268,11 @@ TEST(TimeseriesArtifactTest, HistogramPercentilesRoundTripThroughJsonl) {
   const std::string art = to_timeseries_jsonl(rp);
   const std::size_t pos = art.find("{\"hist\":\"pfc_pause\"");
   ASSERT_NE(pos, std::string::npos);
-  const std::string line = art.substr(pos, art.find('\n', pos) - pos);
-  const auto field = [&](const std::string& key) {
-    const std::size_t k = line.find("\"" + key + "\":");
-    EXPECT_NE(k, std::string::npos) << key;
-    return static_cast<std::int64_t>(
-        std::strtoll(line.c_str() + k + key.size() + 3, nullptr, 10));
-  };
-  EXPECT_EQ(field("p50"), rp.pfc_pause().percentile(0.50));
-  EXPECT_EQ(field("p99"), rp.pfc_pause().percentile(0.99));
-  EXPECT_EQ(field("p999"), rp.pfc_pause().percentile(0.999));
+  const json::Value line = json::parse(
+      std::string_view(art).substr(pos, art.find('\n', pos) - pos));
+  EXPECT_EQ(line.at("p50").as_int(), rp.pfc_pause().percentile(0.50));
+  EXPECT_EQ(line.at("p99").as_int(), rp.pfc_pause().percentile(0.99));
+  EXPECT_EQ(line.at("p999").as_int(), rp.pfc_pause().percentile(0.999));
   bool found = false;
   for (const auto& [name, value] : rp.summary()) {
     if (name == "pfc_pause.p999_us") {
