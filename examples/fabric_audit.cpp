@@ -9,8 +9,11 @@
 //   $ ./fabric_audit --topo=jellyfish --routing=updown   # certified free
 //   $ ./fabric_audit --topo=bcube_relay --routing=ecmp  # server relays
 //
-// Flags: --topo=fattree|leafspine|jellyfish|bcube|bcube_relay,
+// Flags: --topo=fattree|leafspine|jellyfish|bcube_relay,
 //        --routing=ecmp|updown, --run_ms=3, --seed=1.
+// Plain BCube is not a choice: its servers have k+1 ports, and a Host is
+// single-homed. bcube_relay models BCube's relaying servers as switches,
+// each with one host. Any other --topo exits 2.
 #include <cstdio>
 #include <string>
 
@@ -55,10 +58,6 @@ int main(int argc, char** argv) {
     for (const auto& per_sw : t.hosts) {
       hosts.insert(hosts.end(), per_sw.begin(), per_sw.end());
     }
-    topo = std::move(t.topo);
-  } else if (topo_name == "bcube") {
-    BCubeTopo t = make_bcube(4, 1);
-    hosts = t.hosts;
     topo = std::move(t.topo);
   } else if (topo_name == "bcube_relay") {
     BCubeRelayTopo t = make_bcube_relay(3, 1);

@@ -6,6 +6,8 @@
 #include <set>
 #include <system_error>
 
+#include "dcdl/common/json.hpp"
+
 namespace dcdl::campaign {
 
 const char* to_string(RunStatus status) {
@@ -37,12 +39,12 @@ class Json {
 
   void key(const std::string& k) {
     comma();
-    string(k);
+    json::append_quoted(out_, k);
     out_ += ':';
     fresh_ = true;  // the value follows without a comma
   }
 
-  void value(const std::string& v) { comma(); string(v); }
+  void value(const std::string& v) { comma(); json::append_quoted(out_, v); }
   void value(const char* v) { value(std::string(v)); }
   void value(double v) { comma(); out_ += format_double(v); }
   void value(std::int64_t v) { comma(); out_ += std::to_string(v); }
@@ -72,27 +74,6 @@ class Json {
   void close(char c) {
     out_ += c;
     fresh_ = false;
-  }
-  void string(const std::string& s) {
-    out_ += '"';
-    for (const char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        case '\r': out_ += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-    out_ += '"';
   }
 
   std::string out_;

@@ -1,7 +1,8 @@
 // Flow-id keyed map with dense array access on the packet path.
 //
 // Every scenario in the repo numbers flows from 1 upward, so the per-packet
-// lookup (sink statistics, flow-slot registries) is a single vector index.
+// lookup (sink statistics, per-flow route overrides) is a single vector
+// index.
 // Arbitrarily large ids remain legal through a hash-map fallback that the
 // hot path never touches.
 #pragma once

@@ -1,7 +1,7 @@
 // One strict JSON reader for the artifacts the tools write: the campaign
 // JSON, the dcdl.telemetry.v1 / timeseries.v1 / alerts.v1 lines and the
 // Perfetto traces. It accepts objects, arrays, numbers, true/false and
-// strings with the escapes campaign::to_json emits (\" \\ \n \t \r and
+// strings with the escapes append_quoted() emits (\" \\ \n \t \r and
 // \u00XX below 0x20), and nothing else: no null, no trailing text, no
 // duplicate keys, no number that is not finite as a double, and no nesting
 // deeper than kMaxDepth (the recursion is as deep as the input). Every
@@ -72,5 +72,17 @@ struct Member {
 
 /// Parses one complete JSON text; throws json::Error on anything else.
 Value parse(std::string_view text);
+
+/// Appends `s` as a JSON string literal, quotes included, escaping exactly
+/// what parse() reads back: \" \\ \n \t \r, and \u00XX for the other
+/// bytes below 0x20. Every artifact writer quotes its strings through this.
+void append_quoted(std::string& out, std::string_view s);
+
+/// `s` as a JSON string literal (append_quoted into a fresh string).
+inline std::string quoted(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
+}
 
 }  // namespace dcdl::json

@@ -63,9 +63,7 @@ void Switch::clear_ingress_shaper(PortId port) {
     Packet pkt = std::move(in.held.front());
     in.held.pop_front();
     in.held_bytes -= pkt.size_bytes;
-    const std::uint32_t slot = flow_slots_.lookup(pkt.flow);
-    DCDL_ASSERT(slot != FlowSlotRegistry::kNoSlot);
-    route_and_enqueue(port, pkt.prio, slot, std::move(pkt));
+    route_and_enqueue(port, pkt.prio, std::move(pkt));
   }
 }
 
@@ -117,19 +115,6 @@ void Switch::update_pause_state(PortId port, ClassId cls) {
   }
 }
 
-std::uint32_t Switch::charge_ingress(IngressCounter& ctr, FlowId flow,
-                                     std::int64_t bytes) {
-  const std::uint32_t slot = flow_slots_.acquire(flow, bytes);
-  if (slot >= ctr.flow_bytes.size()) {
-    // First time this counter sees a slot this high: catch up to the
-    // registry's high-water capacity. A recycled slot is guaranteed zero
-    // here (its flow fully drained from every counter before it was freed).
-    ctr.flow_bytes.resize(flow_slots_.capacity(), 0);
-  }
-  ctr.flow_bytes[slot] += bytes;
-  return slot;
-}
-
 void Switch::on_receive(PortId in_port, Packet pkt) {
   const Time now = this->now();
   if (total_buffered_ + pkt.size_bytes > cfg_.switch_buffer_bytes) {
@@ -147,10 +132,7 @@ void Switch::on_receive(PortId in_port, Packet pkt) {
   DCDL_ASSERT(in_class < in.cls.size());
 
   // Ingress admission: the packet now occupies buffer.
-  auto& ctr = in.cls[in_class];
-  ctr.bytes += pkt.size_bytes;
-  const std::uint32_t flow_slot =
-      charge_ingress(ctr, pkt.flow, pkt.size_bytes);
+  in.cls[in_class].bytes += pkt.size_bytes;
   total_buffered_ += pkt.size_bytes;
   update_pause_state(in_port, in_class);
 
@@ -169,7 +151,7 @@ void Switch::on_receive(PortId in_port, Packet pkt) {
     schedule_shaper_release(in_port);
     return;
   }
-  route_and_enqueue(in_port, in_class, flow_slot, std::move(pkt));
+  route_and_enqueue(in_port, in_class, std::move(pkt));
 }
 
 void Switch::set_flow_shaper(FlowId flow, Rate rate,
@@ -184,9 +166,7 @@ void Switch::clear_flow_shaper(FlowId flow) {
   while (!it->second.held.empty()) {
     HeldPacket h = std::move(it->second.held.front());
     it->second.held.pop_front();
-    const std::uint32_t slot = flow_slots_.lookup(h.pkt.flow);
-    DCDL_ASSERT(slot != FlowSlotRegistry::kNoSlot);
-    route_and_enqueue(h.in_port, h.in_class, slot, std::move(h.pkt));
+    route_and_enqueue(h.in_port, h.in_class, std::move(h.pkt));
   }
   flow_shapers_.erase(it);
 }
@@ -215,9 +195,7 @@ void Switch::release_flow_held(FlowId flow) {
     fs.held.pop_front();
     fs.held_bytes -= h.pkt.size_bytes;
     fs.shaper->on_sent(now, h.pkt.size_bytes);
-    const std::uint32_t slot = flow_slots_.lookup(h.pkt.flow);
-    DCDL_ASSERT(slot != FlowSlotRegistry::kNoSlot);
-    route_and_enqueue(h.in_port, h.in_class, slot, std::move(h.pkt));
+    route_and_enqueue(h.in_port, h.in_class, std::move(h.pkt));
   }
   schedule_flow_release(flow);
 }
@@ -243,29 +221,23 @@ void Switch::release_held(PortId in_port) {
     in.held.pop_front();
     in.held_bytes -= pkt.size_bytes;
     in.shaper->on_sent(now, pkt.size_bytes);
-    const std::uint32_t slot = flow_slots_.lookup(pkt.flow);
-    DCDL_ASSERT(slot != FlowSlotRegistry::kNoSlot);
-    route_and_enqueue(in_port, pkt.prio, slot, std::move(pkt));
+    route_and_enqueue(in_port, pkt.prio, std::move(pkt));
   }
   schedule_shaper_release(in_port);
 }
 
 void Switch::dec_ingress(PortId in_port, ClassId in_class,
-                         std::uint32_t flow_slot, const Packet& pkt) {
+                         const Packet& pkt) {
   auto& ctr = ingress_[in_port].cls[in_class];
   ctr.bytes -= pkt.size_bytes;
   DCDL_ASSERT(ctr.bytes >= 0);
   total_buffered_ -= pkt.size_bytes;
   ctr.departure_count += 1;
-  DCDL_ASSERT(flow_slot < ctr.flow_bytes.size());
-  ctr.flow_bytes[flow_slot] -= pkt.size_bytes;
-  DCDL_ASSERT(ctr.flow_bytes[flow_slot] >= 0);
-  flow_slots_.release(flow_slot, pkt.size_bytes);
   update_pause_state(in_port, in_class);
 }
 
 void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
-                               std::uint32_t flow_slot, Packet pkt) {
+                               Packet pkt) {
   const Time now = this->now();
   if (dp_ != nullptr) {
     // Packet-side tag stage: stamp at fabric entry, note a revisit at the
@@ -281,7 +253,7 @@ void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
   }
   const auto egress = routes_.lookup(pkt.flow, pkt.dst);
   if (!egress) {
-    dec_ingress(in_port, in_class, flow_slot, pkt);
+    dec_ingress(in_port, in_class, pkt);
     count_drop(DropReason::kNoRoute);
     if (net_.trace().dropped) {
       net_.trace().dropped(now, pkt, id_, DropReason::kNoRoute);
@@ -292,7 +264,7 @@ void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
   if (net_.topo().is_switch(next)) {
     // Further switch-to-switch forwarding: TTL check and decrement.
     if (pkt.ttl == 0) {
-      dec_ingress(in_port, in_class, flow_slot, pkt);
+      dec_ingress(in_port, in_class, pkt);
       count_drop(DropReason::kTtlExpired);
       if (net_.trace().dropped) {
         net_.trace().dropped(now, pkt, id_, DropReason::kTtlExpired);
@@ -313,8 +285,7 @@ void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
   auto& q = eg.cls[pkt.prio];
   q.bytes += pkt.size_bytes;
   q.from[from_key(in_port, in_class)] += pkt.size_bytes;
-  q.q.push_back(
-      QueuedPacket{std::move(pkt), in_port, in_class, flow_slot, now});
+  q.q.push_back(QueuedPacket{std::move(pkt), in_port, in_class, now});
   try_transmit(*egress);
 }
 
@@ -387,7 +358,7 @@ void Switch::try_transmit(PortId egress) {
     q.bytes -= qp.pkt.size_bytes;
     q.from[from_key(qp.in_port, qp.in_class)] -= qp.pkt.size_bytes;
     DCDL_ASSERT(q.from[from_key(qp.in_port, qp.in_class)] >= 0);
-    dec_ingress(qp.in_port, qp.in_class, qp.flow_slot, qp.pkt);
+    dec_ingress(qp.in_port, qp.in_class, qp.pkt);
 
     if (net_.trace().hop_wait) {
       const Time t = now();
@@ -604,8 +575,7 @@ std::uint64_t Switch::dp_reroute_queue(PortId port, ClassId cls) {
     // Re-route with ingress attribution intact (the packet never left the
     // switch, so its counter charge stands); TTL is re-checked like any
     // forward, so a detour that cannot escape eventually self-limits.
-    route_and_enqueue(qp.in_port, qp.in_class, qp.flow_slot,
-                      std::move(qp.pkt));
+    route_and_enqueue(qp.in_port, qp.in_class, std::move(qp.pkt));
   }
   return moved;
 }
@@ -667,12 +637,8 @@ std::uint64_t Switch::flush_egress_queue(PortId port, ClassId cls,
     // Releasing the buffer credits the ingress counter (possibly sending
     // the RESUME that untangles the upstream), exactly like a forward —
     // but a flushed packet is not a departure.
-    auto& ctr = ingress_.at(qp.in_port).cls.at(qp.in_class);
-    ctr.bytes -= qp.pkt.size_bytes;
+    ingress_.at(qp.in_port).cls.at(qp.in_class).bytes -= qp.pkt.size_bytes;
     total_buffered_ -= qp.pkt.size_bytes;
-    DCDL_ASSERT(qp.flow_slot < ctr.flow_bytes.size());
-    ctr.flow_bytes[qp.flow_slot] -= qp.pkt.size_bytes;
-    flow_slots_.release(qp.flow_slot, qp.pkt.size_bytes);
     update_pause_state(qp.in_port, qp.in_class);
     count_drop(reason);
     if (net_.trace().dropped) {
@@ -708,10 +674,35 @@ std::int64_t Switch::max_ingress_bytes() const {
 
 std::int64_t Switch::ingress_flow_bytes(PortId port, ClassId cls,
                                         FlowId flow) const {
-  const std::uint32_t slot = flow_slots_.lookup(flow);
-  if (slot == FlowSlotRegistry::kNoSlot) return 0;
-  const auto& fb = ingress_.at(port).cls.at(cls).flow_bytes;
-  return slot < fb.size() ? fb[slot] : 0;
+  // Everything charged to counter (port, cls) sits in one of three places:
+  // an egress FIFO (routed), the port's shaper queue, or a flow shaper.
+  const IngressPort& in = ingress_.at(port);
+  if (in.cls.at(cls).bytes == 0) return 0;
+  const std::uint32_t key = from_key(port, cls);
+  std::int64_t bytes = 0;
+  for (const EgressPort& eg : egress_) {
+    for (const EgressClassQueue& q : eg.cls) {
+      if (q.from[key] == 0) continue;
+      for (std::size_t i = 0; i < q.q.size(); ++i) {
+        const QueuedPacket& qp = q.q[i];
+        if (qp.in_port == port && qp.in_class == cls && qp.pkt.flow == flow) {
+          bytes += qp.pkt.size_bytes;
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < in.held.size(); ++i) {
+    const Packet& pkt = in.held[i];
+    if (pkt.prio == cls && pkt.flow == flow) bytes += pkt.size_bytes;
+  }
+  if (const auto it = flow_shapers_.find(flow); it != flow_shapers_.end()) {
+    const FlowShaper& fs = it->second;
+    for (std::size_t i = 0; i < fs.held.size(); ++i) {
+      const HeldPacket& h = fs.held[i];
+      if (h.in_port == port && h.in_class == cls) bytes += h.pkt.size_bytes;
+    }
+  }
+  return bytes;
 }
 
 bool Switch::pause_asserted(PortId port, ClassId cls) const {

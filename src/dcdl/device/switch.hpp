@@ -35,11 +35,12 @@
 //    line rate (EcnConfig).
 //
 // Hot-path memory layout (see DESIGN.md "Hot-path memory architecture"):
-// per-flow ingress tallies are dense vectors indexed by the switch's
-// FlowSlotRegistry, per-ingress egress attribution is a dense vector
-// indexed by from_key, and every packet FIFO is a pooled RingQueue — a
-// packet arrival/forward touches no hash table and, at steady state,
-// performs no heap allocation.
+// routes are dense per-destination group indices (RouteTable), per-ingress
+// egress attribution is a dense vector indexed by from_key, and every
+// packet FIFO is a pooled RingQueue — at steady state a packet
+// arrival/forward performs no heap allocation. Per-flow occupancy is not
+// switch state: ingress_flow_bytes() computes it on demand by scanning the
+// packets charged to a counter.
 #pragma once
 
 #include <array>
@@ -53,7 +54,6 @@
 #include "dcdl/common/rng.hpp"
 #include "dcdl/device/config.hpp"
 #include "dcdl/device/device.hpp"
-#include "dcdl/device/flow_slots.hpp"
 #include "dcdl/routing/route_table.hpp"
 #include "dcdl/sim/simulator.hpp"
 #include "dcdl/traffic/flow.hpp"
@@ -111,7 +111,9 @@ class Switch final : public Device {
   /// Ingress counter value (the quantity PFC thresholds act on).
   std::int64_t ingress_bytes(PortId port, ClassId cls) const;
   /// Bytes of one flow currently attributed to an ingress counter (the
-  /// paper's per-flow "buffer occupancy at RX1" series).
+  /// paper's per-flow "buffer occupancy at RX1" series). A measurement,
+  /// not switch state: it scans the packets charged to the counter (egress
+  /// FIFOs and shaper holding queues), so it costs O(buffered packets).
   std::int64_t ingress_flow_bytes(PortId port, ClassId cls, FlowId flow) const;
   /// Largest ingress-counter value across every (port, class) of this
   /// switch — the hybrid zoom's escalation signal (compared against a
@@ -133,11 +135,6 @@ class Switch final : public Device {
   std::int64_t total_buffered() const { return total_buffered_; }
   /// Bytes waiting in the ingress shaper's holding queue (0 if no shaper).
   std::int64_t shaper_held_bytes(PortId port) const;
-  /// Flows currently holding buffer in this switch (flow-slot registry).
-  std::size_t resident_flows() const { return flow_slots_.resident_flows(); }
-  /// High-water flow-slot count — dense accounting vectors grow to this
-  /// and never beyond the concurrent working set (slots recycle on drain).
-  std::uint32_t flow_slot_capacity() const { return flow_slots_.capacity(); }
 
   // --- Reactive recovery (PFC watchdog support, paper §1) ---
   /// How long this egress (port, class) has been continuously paused by
@@ -159,7 +156,6 @@ class Switch final : public Device {
     Packet pkt;          ///< prio already rewritten to the departure class
     PortId in_port;      ///< ingress attribution for counter/PFC accounting
     ClassId in_class;
-    std::uint32_t flow_slot;  ///< dense per-flow accounting index
     /// Enqueue timestamp: dequeue minus this is the per-hop queuing delay
     /// reported through Trace::hop_wait. Lives in the RingQueue, not in
     /// event closures, so the 64-byte InplaceFn budget is untouched.
@@ -173,16 +169,13 @@ class Switch final : public Device {
     std::uint64_t departure_count = 0;
     std::int64_t xoff = 0;
     std::int64_t xon = 0;
-    /// Per-flow bytes, indexed by flow slot (see FlowSlotRegistry). Grown
-    /// lazily to the registry's high-water capacity; a recycled slot is
-    /// guaranteed zero here when it is reassigned.
-    std::vector<std::int64_t> flow_bytes;
   };
 
   struct IngressPort {
     std::vector<IngressCounter> cls;
     std::unique_ptr<TokenBucketPacer> shaper;
-    RingQueue<Packet> held;  ///< awaiting shaper release
+    /// Awaiting shaper release; `prio` is still the class charged.
+    RingQueue<Packet> held;
     std::int64_t held_bytes = 0;
     bool release_scheduled = false;
   };
@@ -229,26 +222,18 @@ class Switch final : public Device {
   void schedule_pause_refresh(PortId port, ClassId cls);
 
   /// Routes and enqueues a packet that has cleared ingress admission (and
-  /// the shaper, if any). `flow_slot` is the packet's dense accounting
-  /// index, already charged at admission.
-  void route_and_enqueue(PortId in_port, ClassId in_class,
-                         std::uint32_t flow_slot, Packet pkt);
+  /// the shaper, if any); its counter was charged at admission.
+  void route_and_enqueue(PortId in_port, ClassId in_class, Packet pkt);
   void try_transmit(PortId egress);
   void complete_transmit(PortId egress);
   void schedule_shaper_release(PortId in_port);
   void release_held(PortId in_port);
   void schedule_flow_release(FlowId flow);
   void release_flow_held(FlowId flow);
-  void dec_ingress(PortId in_port, ClassId in_class, std::uint32_t flow_slot,
-                   const Packet& pkt);
+  void dec_ingress(PortId in_port, ClassId in_class, const Packet& pkt);
   void update_pause_state(PortId port, ClassId cls);
   bool ecn_mark_on_enqueue(EgressPort& eg, PortId port, const Packet& pkt);
   Time tx_hold_time(const Packet& pkt, PortId egress);
-  /// Charges `bytes` of `flow` to counter (in_port, in_class) and returns
-  /// the flow's dense slot, growing the counter's tally vector on a
-  /// first-ever slot high-water (steady state: a bare vector index).
-  std::uint32_t charge_ingress(IngressCounter& ctr, FlowId flow,
-                               std::int64_t bytes);
   std::uint32_t from_key(PortId in_port, ClassId in_cls) const {
     return static_cast<std::uint32_t>(in_port) * from_stride_ + in_cls;
   }
@@ -287,7 +272,6 @@ class Switch final : public Device {
   std::size_t num_classes_ = 1;
   std::vector<IngressPort> ingress_;
   std::vector<EgressPort> egress_;
-  FlowSlotRegistry flow_slots_;
   std::unordered_map<FlowId, FlowShaper> flow_shapers_;
   std::int64_t total_buffered_ = 0;
   Rng jitter_rng_;

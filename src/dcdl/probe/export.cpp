@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "dcdl/campaign/param.hpp"
+#include "dcdl/common/json.hpp"
 
 namespace dcdl::probe {
 
@@ -21,7 +22,7 @@ std::string to_timeseries_jsonl(const RunProbe& probe) {
   out += ",\"series\":[";
   for (std::uint32_t i = 0; i < s.num_series(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + s.name(i) + "\"";
+    json::append_quoted(out, s.name(i));
   }
   out += "]}\n";
 
@@ -36,9 +37,9 @@ std::string to_timeseries_jsonl(const RunProbe& probe) {
   }
 
   for (const RunProbe::NamedHist& h : probe.histograms()) {
-    out += "{\"hist\":\"";
-    out += h.name;
-    out += "\",\"unit\":\"ps\"";
+    out += "{\"hist\":";
+    json::append_quoted(out, h.name);
+    out += ",\"unit\":\"ps\"";
     out += ",\"count\":" + std::to_string(h.hist->count());
     out += ",\"sum\":" + std::to_string(h.hist->sum());
     out += ",\"min\":" + std::to_string(h.hist->min());
@@ -77,8 +78,9 @@ std::string to_perfetto_counters(const RunProbe& probe) {
     const std::int64_t ts_us = s.tick_time(k).ps() / 1'000'000;
     for (std::uint32_t id = 0; id < s.num_series(); ++id) {
       emit("{\"ph\":\"C\",\"pid\":" + std::to_string(kPid) +
-           ",\"ts\":" + std::to_string(ts_us) + ",\"name\":\"" + s.name(id) +
-           "\",\"args\":{\"v\":" + format_double(s.value(k, id)) + "}}");
+           ",\"ts\":" + std::to_string(ts_us) +
+           ",\"name\":" + json::quoted(s.name(id)) +
+           ",\"args\":{\"v\":" + format_double(s.value(k, id)) + "}}");
     }
   }
   out += "\n]}\n";

@@ -34,21 +34,39 @@ std::vector<int> hop_distances(const Topology& topo, NodeId dst) {
 
 void install_shortest_paths(Network& net, bool ecmp) {
   const Topology& topo = net.topo();
-  for (const NodeId dst : topo.hosts()) {
-    const std::vector<int> dist = hop_distances(topo, dst);
+  // Hosts are single-homed and never relay, so every other switch reaches
+  // a host exactly as it reaches the host's attachment switch, and that
+  // switch delivers on the host's port: one BFS per attachment switch
+  // serves all of its hosts (and they share one interned ECMP group).
+  std::vector<std::vector<NodeId>> hosts_at(topo.node_count());
+  for (const NodeId h : topo.hosts()) {
+    const NodeId attach = topo.peer(h, 0).peer_node;
+    if (topo.is_switch(attach)) hosts_at[attach].push_back(h);
+  }
+  std::vector<PortId> next;
+  for (const NodeId attach : topo.switches()) {
+    const std::vector<NodeId>& dsts = hosts_at[attach];
+    if (dsts.empty()) continue;
+    for (const NodeId h : dsts) {
+      net.switch_at(attach).routes().set_dst_route(h,
+                                                   topo.peer(h, 0).peer_port);
+    }
+    const std::vector<int> dist = hop_distances(topo, attach);
     for (const NodeId sw : topo.switches()) {
-      if (dist[sw] >= kInf) continue;
-      std::vector<PortId> next;
+      if (sw == attach || dist[sw] >= kInf) continue;
+      next.clear();
       const auto& ports = topo.ports(sw);
       for (PortId p = 0; p < ports.size(); ++p) {
         const NodeId peer = ports[p].peer_node;
-        if (topo.is_host(peer) && peer != dst) continue;
+        if (topo.is_host(peer)) continue;
         if (dist[peer] == dist[sw] - 1) {
           next.push_back(p);
           if (!ecmp) break;
         }
       }
-      if (!next.empty()) net.switch_at(sw).routes().set_dst_ecmp(dst, next);
+      if (next.empty()) continue;
+      RouteTable& routes = net.switch_at(sw).routes();
+      for (const NodeId h : dsts) routes.set_dst_ecmp(h, next);
     }
   }
 }

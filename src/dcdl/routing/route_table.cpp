@@ -1,27 +1,55 @@
 #include "dcdl/routing/route_table.hpp"
 
+#include <algorithm>
+
+#include "dcdl/common/contract.hpp"
+
 namespace dcdl {
 
-namespace {
-// 64-bit mix (SplitMix64 finalizer) for ECMP selection.
-std::uint64_t mix(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+void RouteTable::set_flow_route(FlowId flow, PortId egress) {
+  by_flow_.at_or_insert(flow).egress = egress;
+  ++version_;
 }
-}  // namespace
 
-std::optional<PortId> RouteTable::lookup(FlowId flow, NodeId dst) const {
-  if (const auto it = by_flow_.find(flow); it != by_flow_.end()) {
-    return it->second;
+void RouteTable::set_dst_ecmp(NodeId dst, std::span<const PortId> egresses) {
+  if (egresses.empty()) {
+    clear_dst_route(dst);
+    return;
   }
-  const auto it = by_dst_.find(dst);
-  if (it == by_dst_.end() || it->second.empty()) return std::nullopt;
-  const auto& set = it->second;
-  if (set.size() == 1) return set[0];
-  const std::uint64_t h = mix((static_cast<std::uint64_t>(flow) << 32) ^
-                              dst ^ salt_ * 0x9E3779B97F4A7C15ULL);
-  return set[h % set.size()];
+  DCDL_EXPECTS(dst != kInvalidNode);
+  if (dst >= dst_group_.size()) dst_group_.resize(dst + 1, kNoGroup);
+  dst_group_[dst] = intern(egresses);
+  ++version_;
+}
+
+void RouteTable::clear_dst_route(NodeId dst) {
+  if (dst < dst_group_.size()) dst_group_[dst] = kNoGroup;
+  ++version_;
+}
+
+void RouteTable::clear() {
+  by_flow_ = {};
+  dst_group_.clear();
+  groups_.clear();
+  pool_.clear();
+  group_index_.clear();
+  ++version_;
+}
+
+std::uint32_t RouteTable::intern(std::span<const PortId> egresses) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const PortId p : egresses) h = (h ^ p) * 0x100000001B3ULL;
+  const auto it = group_index_.try_emplace(h, kNoGroup).first;
+  for (std::uint32_t g = it->second; g != kNoGroup; g = groups_[g].next) {
+    if (std::ranges::equal(candidates(g), egresses)) return g;
+  }
+  const auto group = static_cast<std::uint32_t>(groups_.size());
+  groups_.push_back(Group{static_cast<std::uint32_t>(pool_.size()),
+                          static_cast<std::uint32_t>(egresses.size()),
+                          it->second});
+  pool_.insert(pool_.end(), egresses.begin(), egresses.end());
+  it->second = group;
+  return group;
 }
 
 }  // namespace dcdl

@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "dcdl/common/json.hpp"
+
 namespace dcdl::telemetry {
 
 namespace {
@@ -91,8 +93,10 @@ std::string to_perfetto_json(const Topology& topo,
     comma();
     appendf(out,
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-            "\"args\":{\"name\":\"%s\"}}",
-            n, node_label(topo, n).c_str());
+            "\"args\":{\"name\":",
+            n);
+    json::append_quoted(out, node_label(topo, n));
+    out += "}}";
   }
   for (const auto& [key, pc] : threads) {
     comma();
@@ -313,9 +317,10 @@ void append_topology_field(std::string& out, const Topology& topo) {
   out += ",\"topology\":{\"nodes\":[";
   for (NodeId n = 0; n < topo.node_count(); ++n) {
     const NodeSpec& spec = topo.node(n);
-    appendf(out, "%s{\"kind\":\"%s\",\"name\":\"%s\"}", n == 0 ? "" : ",",
-            spec.kind == NodeKind::kSwitch ? "switch" : "host",
-            spec.name.c_str());
+    appendf(out, "%s{\"kind\":\"%s\",\"name\":", n == 0 ? "" : ",",
+            spec.kind == NodeKind::kSwitch ? "switch" : "host");
+    json::append_quoted(out, spec.name);
+    out += '}';
   }
   out += "],\"links\":[";
   for (std::uint32_t l = 0; l < topo.link_count(); ++l) {

@@ -5,10 +5,10 @@
 // and watch::RunWatch::summary() also return; latency distributions live
 // in probe::LogHistogram, not here.
 //
-// Two-phase contract (FlowSlotRegistry-style): registration happens during
-// setup and may allocate (name table); after that the hot path is
-// `counters_[id.v] += delta` / `gauges_[id.v] = v` — a bare vector index,
-// never a lookup, never an allocation. Typed id structs make it a compile
+// Two-phase contract: registration happens during setup and may allocate
+// (name table); after that the hot path is `counters_[id.v] += delta` /
+// `gauges_[id.v] = v` — a bare vector index, never a lookup, never an
+// allocation. Typed id structs make it a compile
 // error to bump a gauge or set a counter.
 #pragma once
 

@@ -1,6 +1,7 @@
 #include "dcdl/watch/export.hpp"
 
 #include "dcdl/campaign/param.hpp"
+#include "dcdl/common/json.hpp"
 
 namespace dcdl::watch {
 
@@ -28,7 +29,8 @@ std::string to_alerts_jsonl(const RunWatch& watch, const Topology& topo) {
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const AlertRule& r = rules[i];
     if (i != 0) out += ",";
-    out += "{\"name\":\"" + r.name + "\",\"signal\":\"" + r.signal + "\"";
+    out += "{\"name\":" + json::quoted(r.name) +
+           ",\"signal\":" + json::quoted(r.signal);
     out += ",\"severity\":\"";
     out += to_string(r.severity);
     out += "\",\"fire_above\":" + format_double(r.fire_above);
@@ -40,13 +42,13 @@ std::string to_alerts_jsonl(const RunWatch& watch, const Topology& topo) {
 
   for (const AlertEvent& ev : watch.engine().events()) {
     out += "{\"t_ps\":" + std::to_string(ev.t.ps());
-    out += ",\"rule\":\"" + rules[ev.rule].name + "\"";
+    out += ",\"rule\":" + json::quoted(rules[ev.rule].name);
     out += ",\"severity\":\"";
     out += to_string(ev.severity);
     out += "\",\"kind\":\"";
     out += ev.firing ? "fire" : "clear";
     out += "\",\"value\":" + format_double(ev.value);
-    out += ",\"node\":\"" + node_label(topo, ev.node) + "\"}\n";
+    out += ",\"node\":" + json::quoted(node_label(topo, ev.node)) + "}\n";
   }
 
   out += "{\"summary\":{";
@@ -54,7 +56,7 @@ std::string to_alerts_jsonl(const RunWatch& watch, const Topology& topo) {
   for (const auto& [name, value] : watch.summary()) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + name + "\":" + format_double(value);
+    out += json::quoted(name) + ":" + format_double(value);
   }
   out += "}}\n";
   return out;
@@ -79,10 +81,11 @@ std::string to_perfetto_alerts(const RunWatch& watch, const Topology& topo) {
     const std::int64_t ts_us = ev.t.ps() / 1'000'000;
     emit("{\"ph\":\"i\",\"s\":\"g\",\"pid\":" + std::to_string(kPid) +
          ",\"ts\":" + std::to_string(ts_us) + ",\"cat\":\"alert\"" +
-         ",\"name\":\"" + std::string(to_string(ev.severity)) + " " +
-         rules[ev.rule].name + (ev.firing ? "" : " clear") +
-         "\",\"args\":{\"value\":" + format_double(ev.value) +
-         ",\"node\":\"" + node_label(topo, ev.node) + "\"}}");
+         ",\"name\":" +
+         json::quoted(std::string(to_string(ev.severity)) + " " +
+                      rules[ev.rule].name + (ev.firing ? "" : " clear")) +
+         ",\"args\":{\"value\":" + format_double(ev.value) +
+         ",\"node\":" + json::quoted(node_label(topo, ev.node)) + "}}");
   }
   out += "\n]}\n";
   return out;

@@ -81,14 +81,13 @@ TEST(ApiSurface, BdgVerticesAndEdgesAccessors) {
 TEST(ApiSurface, RouteTableIntrospection) {
   RouteTable rt;
   rt.set_flow_route(4, 2);
-  rt.set_dst_ecmp(9, {0, 1});
-  EXPECT_EQ(rt.flow_routes().size(), 1u);
-  EXPECT_EQ(rt.dst_routes().size(), 1u);
+  rt.set_dst_ecmp(9, std::vector<PortId>{0, 1});
+  EXPECT_EQ(rt.dst_candidates(9).size(), 2u);
   EXPECT_EQ(rt.flow_route(4), PortId{2});
   EXPECT_FALSE(rt.flow_route(5).has_value());
   rt.clear();
-  EXPECT_TRUE(rt.flow_routes().empty());
-  EXPECT_TRUE(rt.dst_routes().empty());
+  EXPECT_FALSE(rt.flow_route(4).has_value());
+  EXPECT_TRUE(rt.dst_candidates(9).empty());
 }
 
 TEST(ApiSurface, DropReasonNames) {

@@ -19,6 +19,7 @@
 #include "dcdl/forensics/forensics.hpp"
 #include "dcdl/probe/export.hpp"
 #include "dcdl/probe/probe.hpp"
+#include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
 #include "dcdl/telemetry/telemetry.hpp"
 #include "dcdl/watch/export.hpp"
@@ -199,6 +200,127 @@ TEST(JsonWriterRoundTripTest, EveryArtifactWriterEmitsJson) {
   const forensics::LoadedTrace pm = forensics::parse_jsonl(a.post_mortem);
   EXPECT_TRUE(pm.post_mortem);
   EXPECT_FALSE(pm.cycle.empty());
+}
+
+// ------------------------------------------ names that need escaping
+
+/// The first line of a JSONL artifact, parsed.
+json::Value header(const std::string& jsonl) {
+  return json::parse(std::string_view(jsonl).substr(0, jsonl.find('\n')));
+}
+
+TEST(JsonWriterRoundTripTest, NamesThatNeedEscapingReadBackEqual) {
+  // Node, series, rule and summary names are user text. A quote, a
+  // backslash or a control byte in one must come back equal from every
+  // artifact instead of breaking the line it is written on.
+  const std::string odd_switch = "s\"0\\";
+  const std::string odd_host = "h\t\x01";
+  const std::string odd_rule = "r\"1";
+  Simulator sim;
+  Topology t;
+  const NodeId s0 = t.add_switch(odd_switch);
+  const NodeId s1 = t.add_switch("s1");
+  const NodeId a = t.add_host(odd_host);
+  const NodeId b = t.add_host("b");
+  const NodeId dst = t.add_host("dst");
+  t.add_link(s0, s1, Rate::gbps(40), 1_us);
+  t.add_link(s0, a, Rate::gbps(40), 1_us);
+  t.add_link(s0, b, Rate::gbps(40), 1_us);
+  t.add_link(s1, dst, Rate::gbps(40), 1_us);
+  Network net(sim, t, NetConfig{});
+  routing::install_shortest_paths(net);
+  // Two greedy senders share the s0 -> s1 link: queues build and PFC
+  // pauses both hosts.
+  std::vector<FlowSpec> flows;
+  for (const NodeId src : {a, b}) {
+    FlowSpec f;
+    f.id = static_cast<FlowId>(flows.size() + 1);
+    f.src_host = src;
+    f.dst_host = dst;
+    net.host_at(src).add_flow(f);
+    flows.push_back(f);
+  }
+  telemetry::FlightRecorder rec;
+  rec.attach(net);
+  probe::RunProbe rp(net);
+  watch::WatchOptions wo;
+  wo.rules = {{odd_rule, "queue_bytes", watch::Severity::kWarn, 1.0, 1.0, 1,
+               Time::zero()}};
+  watch::RunWatch rw(net, flows, wo);
+  rp.start(sim, 1_ms);
+  rw.start(sim, 1_ms);
+  sim.run_until(1_ms);
+  rp.finalize();
+  const std::vector<telemetry::TraceRecord> window = rec.last(64);
+
+  // dcdl.telemetry.v1 and its post-mortem form carry the topology.
+  for (const std::string& dump :
+       {telemetry::to_jsonl(t, window),
+        telemetry::post_mortem_jsonl(t, rec, {}, sim.now(), 64)}) {
+    EXPECT_GT(parse_lines(dump), 1u);
+    const json::Value head = header(dump);
+    const json::Value& nodes = head.at("topology").at("nodes");
+    EXPECT_EQ(nodes.items()[s0].at("name").as_string(), odd_switch);
+    EXPECT_EQ(nodes.items()[a].at("name").as_string(), odd_host);
+    EXPECT_NO_THROW(load_and_analyze(dump));
+  }
+  // Perfetto: the per-node process names.
+  std::vector<std::string> processes;
+  const json::Value perfetto =
+      json::parse(telemetry::to_perfetto_json(t, window));
+  for (const json::Value& ev : perfetto.at("traceEvents").items()) {
+    const json::Value* name = ev.find("name");
+    if (name != nullptr && name->as_string() == "process_name") {
+      processes.push_back(ev.at("args").at("name").as_string());
+    }
+  }
+  EXPECT_NE(std::find(processes.begin(), processes.end(),
+                      "switch " + odd_switch + " (0)"),
+            processes.end());
+
+  // dcdl.timeseries.v1 and the probe's Perfetto counters: the per-port
+  // utilization series are named after their node.
+  const std::string util = "util." + odd_switch + ":0";
+  const std::string timeseries = probe::to_timeseries_jsonl(rp);
+  EXPECT_GT(parse_lines(timeseries), 1u);
+  const json::Value head = header(timeseries);
+  const auto& series = head.at("series").items();
+  EXPECT_TRUE(std::any_of(series.begin(), series.end(), [&](const auto& v) {
+    return v.as_string() == util;
+  }));
+  const json::Value counters = json::parse(probe::to_perfetto_counters(rp));
+  const auto& events = counters.at("traceEvents").items();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [&](const auto& v) {
+    return v.at("name").as_string() == util;
+  }));
+
+  // dcdl.alerts.v1: rule name, the events' rule and node, summary keys.
+  const std::string alerts = watch::to_alerts_jsonl(rw, t);
+  ASSERT_GT(rw.engine().fires(watch::Severity::kWarn), 0u);
+  std::size_t pos = alerts.find('\n') + 1;
+  EXPECT_EQ(header(alerts).at("rules").items()[0].at("name").as_string(),
+            odd_rule);
+  bool saw_event = false;
+  bool saw_summary = false;
+  while (pos < alerts.size()) {
+    const std::size_t eol = alerts.find('\n', pos);
+    const json::Value line =
+        json::parse(std::string_view(alerts).substr(pos, eol - pos));
+    pos = eol + 1;
+    if (const json::Value* summary = line.find("summary")) {
+      saw_summary = summary->find("rule." + odd_rule + ".fires") != nullptr;
+      continue;
+    }
+    saw_event = true;
+    EXPECT_EQ(line.at("rule").as_string(), odd_rule);
+    const std::string node = line.at("node").as_string();
+    EXPECT_TRUE(node == "-" || node == odd_switch || node == "s1") << node;
+  }
+  EXPECT_TRUE(saw_event);
+  EXPECT_TRUE(saw_summary);
+  const json::Value instants =
+      json::parse(watch::to_perfetto_alerts(rw, t)).at("traceEvents");
+  EXPECT_EQ(instants.items()[1].at("name").as_string(), "warn " + odd_rule);
 }
 
 // ------------------------------------------- truncation and mutation

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "dcdl/routing/route_table.hpp"
 
@@ -24,7 +25,7 @@ TEST(RouteTable, FlowRouteOverridesDst) {
 
 TEST(RouteTable, EcmpIsDeterministicPerFlow) {
   RouteTable rt;
-  rt.set_dst_ecmp(9, {0, 1, 2, 3});
+  rt.set_dst_ecmp(9, std::vector<PortId>{0, 1, 2, 3});
   for (FlowId f = 0; f < 50; ++f) {
     const auto first = rt.lookup(f, 9);
     for (int i = 0; i < 5; ++i) EXPECT_EQ(rt.lookup(f, 9), first);
@@ -33,7 +34,7 @@ TEST(RouteTable, EcmpIsDeterministicPerFlow) {
 
 TEST(RouteTable, EcmpSpreadsFlows) {
   RouteTable rt;
-  rt.set_dst_ecmp(9, {0, 1, 2, 3});
+  rt.set_dst_ecmp(9, std::vector<PortId>{0, 1, 2, 3});
   std::map<PortId, int> hits;
   for (FlowId f = 0; f < 4000; ++f) hits[*rt.lookup(f, 9)]++;
   EXPECT_EQ(hits.size(), 4u);
@@ -45,8 +46,8 @@ TEST(RouteTable, EcmpSpreadsFlows) {
 
 TEST(RouteTable, SaltChangesEcmpSpread) {
   RouteTable a, b;
-  a.set_dst_ecmp(9, {0, 1, 2, 3});
-  b.set_dst_ecmp(9, {0, 1, 2, 3});
+  a.set_dst_ecmp(9, std::vector<PortId>{0, 1, 2, 3});
+  b.set_dst_ecmp(9, std::vector<PortId>{0, 1, 2, 3});
   a.set_ecmp_salt(1);
   b.set_ecmp_salt(2);
   int differ = 0;
@@ -79,10 +80,34 @@ TEST(RouteTable, VersionBumpsOnEveryMutation) {
 
 TEST(RouteTable, DstCandidatesExposesEcmpSet) {
   RouteTable rt;
-  rt.set_dst_ecmp(4, {2, 5});
-  ASSERT_NE(rt.dst_candidates(4), nullptr);
-  EXPECT_EQ(rt.dst_candidates(4)->size(), 2u);
-  EXPECT_EQ(rt.dst_candidates(6), nullptr);
+  rt.set_dst_ecmp(4, std::vector<PortId>{2, 5});
+  ASSERT_EQ(rt.dst_candidates(4).size(), 2u);
+  EXPECT_EQ(rt.dst_candidates(4)[0], PortId{2});
+  EXPECT_EQ(rt.dst_candidates(4)[1], PortId{5});
+  EXPECT_TRUE(rt.dst_candidates(6).empty());
+}
+
+TEST(RouteTable, IdenticalCandidateListsShareStorage) {
+  // Candidate lists are interned: every destination installed with the
+  // same ordered list reads the same pooled group, and route churn between
+  // lists already seen (BGP re-convergence, SDN updates) adds nothing.
+  RouteTable rt;
+  rt.set_dst_ecmp(3, std::vector<PortId>{1, 2});
+  rt.set_dst_ecmp(8, std::vector<PortId>{1, 2});
+  rt.set_dst_ecmp(9, std::vector<PortId>{2, 1});
+  EXPECT_EQ(rt.dst_candidates(3).data(), rt.dst_candidates(8).data());
+  EXPECT_NE(rt.dst_candidates(3).data(), rt.dst_candidates(9).data());
+  rt.set_dst_route(5, 4);
+  const PortId* four = rt.dst_candidates(5).data();
+  const PortId* pair = rt.dst_candidates(3).data();
+  for (int i = 0; i < 1000; ++i) {
+    rt.set_dst_route(5, i % 2 == 0 ? 0 : 4);
+    rt.clear_dst_route(5);
+    rt.set_dst_route(5, 4);
+  }
+  EXPECT_EQ(rt.dst_candidates(5).data(), four) << "churn grew the pool";
+  EXPECT_EQ(rt.dst_candidates(3).data(), pair);
+  EXPECT_EQ(rt.lookup(0, 5), PortId{4});
 }
 
 }  // namespace

@@ -81,11 +81,10 @@ TEST(InstallShortestPaths, EcmpUsesMultiplePaths) {
   install_shortest_paths(*f.net);
   const LeafSpineTopo ls = make_leaf_spine(2, 4, 1);  // same layout
   // From leaf0, destination on leaf1: 4 equal-cost spine choices.
-  const auto* cands = f.net->switch_at(ls.leaves[0])
-                          .routes()
-                          .dst_candidates(ls.hosts[1][0]);
-  ASSERT_NE(cands, nullptr);
-  EXPECT_EQ(cands->size(), 4u);
+  const auto cands = f.net->switch_at(ls.leaves[0])
+                         .routes()
+                         .dst_candidates(ls.hosts[1][0]);
+  EXPECT_EQ(cands.size(), 4u);
 }
 
 TEST(InstallFlowPath, PinsExactRoute) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Builds the full test suite with -fsanitize=address,undefined and runs it,
 # proving the hot-path memory machinery (event slab recycling, InplaceFn
-# inline storage and relocation, RingQueue ring indexing, flow-slot dense
-# accounting, thread-local arena hand-off) is free of lifetime and UB bugs.
+# inline storage and relocation, RingQueue ring indexing, interned route
+# groups, thread-local arena hand-off) is free of lifetime and UB bugs.
 #
 #   tools/asan.sh [build-dir]          # default: build-asan
 #
