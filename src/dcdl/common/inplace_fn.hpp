@@ -9,9 +9,16 @@
 // slab therefore holds the closure bytes inline, and steady-state
 // scheduling never touches the allocator. Oversized captures (cold control
 // paths only) fall back to a single heap cell so the API stays total.
+//
+// Relocation rule: a trivially copyable inline closure — every device
+// closure, which captures pointers, ids and Packets by value — has no
+// manager; moving it copies the whole N-byte buffer (a fixed-size copy
+// the compiler unrolls) and destroying it does nothing. Only closures
+// with non-trivial members pay an indirect manager call per move.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -39,14 +46,21 @@ class InplaceFn<R(Args...), N> {
       invoke_ = [](void* p, Args&&... args) -> R {
         return (*static_cast<Fn*>(p))(std::forward<Args>(args)...);
       };
-      manage_ = [](void* dst, void* src) {
-        if (src != nullptr) {
-          ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-          static_cast<Fn*>(src)->~Fn();
-        } else {
-          static_cast<Fn*>(dst)->~Fn();
+      if constexpr (std::is_trivially_copyable_v<Fn>) {
+        // The relocation copy reads all N bytes: define the unused tail.
+        if constexpr (sizeof(Fn) < N) {
+          std::memset(buf_ + sizeof(Fn), 0, N - sizeof(Fn));
         }
-      };
+      } else {
+        manage_ = [](void* dst, void* src) {
+          if (src != nullptr) {
+            ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+            static_cast<Fn*>(src)->~Fn();
+          } else {
+            static_cast<Fn*>(dst)->~Fn();
+          }
+        };
+      }
     } else {
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
       invoke_ = [](void* p, Args&&... args) -> R {
@@ -85,27 +99,29 @@ class InplaceFn<R(Args...), N> {
   }
 
   void reset() {
-    if (invoke_ != nullptr) {
-      manage_(buf_, nullptr);
-      invoke_ = nullptr;
-      manage_ = nullptr;
-    }
+    if (manage_ != nullptr) manage_(buf_, nullptr);
+    invoke_ = nullptr;
+    manage_ = nullptr;
   }
 
  private:
   /// manage_(dst, src): src != nullptr relocates *src into dst (raw
-  /// storage) and destroys src; src == nullptr destroys dst.
+  /// storage) and destroys src; src == nullptr destroys dst. Null for a
+  /// trivially copyable inline closure (see the relocation rule above).
   using Invoke = R (*)(void*, Args&&...);
   using Manage = void (*)(void*, void*);
 
   void move_from(InplaceFn& o) noexcept {
-    if (o.invoke_ != nullptr) {
+    if (o.invoke_ == nullptr) return;
+    if (o.manage_ != nullptr) {
       o.manage_(buf_, o.buf_);
-      invoke_ = o.invoke_;
-      manage_ = o.manage_;
-      o.invoke_ = nullptr;
-      o.manage_ = nullptr;
+    } else {
+      std::memcpy(buf_, o.buf_, N);
     }
+    invoke_ = o.invoke_;
+    manage_ = o.manage_;
+    o.invoke_ = nullptr;
+    o.manage_ = nullptr;
   }
 
   alignas(std::max_align_t) std::byte buf_[N];

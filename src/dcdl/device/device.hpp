@@ -1,6 +1,8 @@
-// Base class for runtime network elements (switches and hosts).
+// Base class for runtime network elements (switches and hosts), and the
+// wire record every transmission reads.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "dcdl/device/trace.hpp"
@@ -10,6 +12,33 @@
 namespace dcdl {
 
 class Network;
+class Device;
+
+/// One directed attachment (node, port) as the packet path sees it. The
+/// Network builds one per (node, port) at construction and never changes
+/// it, so a transmission or PFC frame reads this one cache line instead of
+/// the Topology's peer, link and node records, the shard plan and the
+/// sequence table.
+struct alignas(64) Wire {
+  Device* peer = nullptr;
+  /// The directed link's sequence counter (one writer: the sending shard).
+  std::uint64_t* seq = nullptr;
+  std::uint64_t chan = 0;  ///< wire channel 1 + 2*link + dir
+  Time delay;              ///< one-way propagation
+  Rate rate;
+  Time ser_mtu;  ///< serialization_time(NetConfig::mtu_bytes, rate)
+  Time ser_pfc;  ///< serialization_time(control_frame_bytes, rate)
+  std::uint32_t peer_shard = 0;
+  PortId peer_port = kInvalidPort;
+  bool peer_is_switch = false;
+
+  /// Serialization time of a `bytes`-byte frame; `mtu` is the configured
+  /// MTU, whose time is precomputed.
+  Time serialization(std::uint32_t bytes, std::uint32_t mtu) const {
+    return bytes == mtu ? ser_mtu : serialization_time(bytes, rate);
+  }
+};
+static_assert(sizeof(Wire) == 64, "a wire record is one cache line");
 
 class Device {
  public:
@@ -71,6 +100,10 @@ class Device {
     tx_byte_counts_[port] += static_cast<std::uint64_t>(bytes);
   }
 
+  /// This device's wire record for `port` (valid once the Network is
+  /// constructed).
+  const Wire& wire(PortId port) const { return wires_[port]; }
+
   Network& net_;
   NodeId id_;
 
@@ -84,10 +117,11 @@ class Device {
   }
 
   Simulator* sim_ = nullptr;
+  const Wire* wires_ = nullptr;  ///< this node's ports in the wire table
   std::uint64_t self_chan_ = 0;
   std::uint64_t self_seq_ = 0;
-  std::uint64_t drop_counts_[kNumDropReasons] = {};
   std::vector<std::uint64_t> tx_byte_counts_;
+  std::uint64_t drop_counts_[kNumDropReasons] = {};
 };
 
 }  // namespace dcdl

@@ -80,9 +80,11 @@ void Host::try_send() {
   if (busy_ || flows_.empty()) return;
   const Time now = this->now();
   Time earliest = Time::max();
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const std::size_t idx = (rr_ + i) % flows_.size();
-    FlowState& f = flows_[idx];
+  const std::size_t n = flows_.size();
+  std::size_t next = rr_;
+  for (std::size_t i = 0; i < n; ++i) {
+    FlowState& f = flows_[next];
+    if (++next == n) next = 0;
     if (f.stopped || f.held || now >= f.spec.stop) continue;
     if (now < f.spec.start) {
       earliest = std::min(earliest, f.spec.start);
@@ -98,7 +100,7 @@ void Host::try_send() {
     }
 
     // Inject one packet of this flow.
-    rr_ = (idx + 1) % flows_.size();
+    rr_ = next;
     Packet pkt;
     pkt.id = net_.next_packet_id(id_);
     pkt.flow = f.spec.id;
@@ -116,13 +118,15 @@ void Host::try_send() {
     count_tx(0, pkt.size_bytes);
 
     busy_ = true;
-    Time hold = serialization_time(pkt.size_bytes, net_.link_rate(id_, 0));
+    const Wire& w = wire(0);
+    const Time ser = w.serialization(pkt.size_bytes, cfg_.mtu_bytes);
+    Time hold = ser;
     if (cfg_.tx_jitter > Time::zero()) {
       hold += Time{static_cast<std::int64_t>(jitter_rng_.uniform(
           static_cast<std::uint64_t>(cfg_.tx_jitter.ps()) + 1))};
     }
-    schedule_in(hold, [this] { complete_transmit(); });
-    net_.transmit(id_, 0, pkt);
+    schedule_at(now + hold, [this] { complete_transmit(); });
+    net_.transmit(w, now, ser, pkt);
     return;
   }
   if (earliest < Time::max()) schedule_wake(earliest);

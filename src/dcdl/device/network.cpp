@@ -73,6 +73,37 @@ Network::Network(Simulator& sim, const Topology& topo, NetConfig cfg)
     devices_.back()->bind_sim(&engine_.shard_sim(plan_.node_shard[id]),
                               self_channel(topo_, id));
   }
+  build_wires();
+}
+
+void Network::build_wires() {
+  const NodeId n = topo_.node_count();
+  wire_base_.resize(n);
+  std::size_t total = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    wire_base_[id] = static_cast<std::uint32_t>(total);
+    total += topo_.degree(id);
+  }
+  wires_.resize(total);
+  for (NodeId id = 0; id < n; ++id) {
+    for (PortId port = 0; port < topo_.degree(id); ++port) {
+      const PortPeer& pp = topo_.peer(id, port);
+      const LinkSpec& link = topo_.link(pp.link);
+      const std::uint32_t dir = id == link.a ? 0u : 1u;
+      Wire& w = wires_[wire_base_[id] + port];
+      w.peer = devices_[pp.peer_node].get();
+      w.seq = &wire_seq_[2 * static_cast<std::size_t>(pp.link) + dir];
+      w.chan = wire_channel(pp.link, dir);
+      w.delay = link.delay;
+      w.rate = link.rate;
+      w.ser_mtu = serialization_time(cfg_.mtu_bytes, link.rate);
+      w.ser_pfc = serialization_time(cfg_.pfc.control_frame_bytes, link.rate);
+      w.peer_shard = plan_.node_shard[pp.peer_node];
+      w.peer_port = pp.peer_port;
+      w.peer_is_switch = topo_.is_switch(pp.peer_node);
+    }
+    devices_[id]->wires_ = wires_.data() + wire_base_[id];
+  }
 }
 
 Network::~Network() = default;
@@ -262,57 +293,30 @@ const Host& Network::host_at(NodeId id) const {
   return static_cast<const Host&>(*devices_.at(id));
 }
 
-void Network::transmit(NodeId from, PortId port, Packet pkt) {
-  const PortPeer& pp = topo_.peer(from, port);
-  const LinkSpec& link = topo_.link(pp.link);
-  const Time ser = serialization_time(pkt.size_bytes, link.rate);
-  DCDL_ASSERT(pp.peer_node < devices_.size());
-  Device* peer = devices_[pp.peer_node].get();
-  const PortId peer_port = pp.peer_port;
-  const std::uint32_t dir = from == link.a ? 0u : 1u;
-  const Time at = devices_[from]->now() + ser + link.delay;
-  engine_.post(plan_.node_shard[pp.peer_node], at, wire_channel(pp.link, dir),
-               ++wire_seq_[2 * pp.link + dir],
-               [peer, peer_port, pkt]() mutable {
-                 peer->on_receive(peer_port, pkt);
-               });
-}
-
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause) {
-  const PortPeer& pp = topo_.peer(from, port);
-  const LinkSpec& link = topo_.link(pp.link);
-  const Time ser = serialization_time(cfg_.pfc.control_frame_bytes, link.rate);
-  DCDL_ASSERT(pp.peer_node < devices_.size());
-  Device* peer = devices_[pp.peer_node].get();
-  const PortId peer_port = pp.peer_port;
   // PFC frames share the wire channel (and its sequence space) with data:
   // both are emissions of the same directed link, keyed in the order the
   // sending device produced them.
-  const std::uint32_t dir = from == link.a ? 0u : 1u;
-  const Time at = devices_[from]->now() + ser + link.delay;
-  engine_.post(plan_.node_shard[pp.peer_node], at, wire_channel(pp.link, dir),
-               ++wire_seq_[2 * pp.link + dir], [peer, peer_port, cls, pause] {
+  const Wire& w = wire(from, port);
+  engine_.post(w.peer_shard, devices_[from]->now() + w.ser_pfc + w.delay,
+               w.chan, ++*w.seq,
+               [peer = w.peer, peer_port = w.peer_port, cls, pause] {
                  peer->on_pfc(peer_port, cls, pause);
                });
 }
 
 void Network::send_pfc(NodeId from, PortId port, ClassId cls, bool pause,
                        const dataplane::PauseTag& tag) {
-  const PortPeer& pp = topo_.peer(from, port);
-  if (!topo_.is_switch(pp.peer_node)) {
+  const Wire& w = wire(from, port);
+  if (!w.peer_is_switch) {
     // Hosts have no pipeline; the tag is meaningful only switch-to-switch.
     send_pfc(from, port, cls, pause);
     return;
   }
-  const LinkSpec& link = topo_.link(pp.link);
-  const Time ser = serialization_time(cfg_.pfc.control_frame_bytes, link.rate);
-  auto* peer = static_cast<Switch*>(devices_[pp.peer_node].get());
-  const PortId peer_port = pp.peer_port;
-  const std::uint32_t dir = from == link.a ? 0u : 1u;
-  const Time at = devices_[from]->now() + ser + link.delay;
-  engine_.post(plan_.node_shard[pp.peer_node], at, wire_channel(pp.link, dir),
-               ++wire_seq_[2 * pp.link + dir],
-               [peer, peer_port, cls, pause, tag] {
+  engine_.post(w.peer_shard, devices_[from]->now() + w.ser_pfc + w.delay,
+               w.chan, ++*w.seq,
+               [peer = static_cast<Switch*>(w.peer), peer_port = w.peer_port,
+                cls, pause, tag] {
                  peer->on_pfc_tagged(peer_port, cls, pause, tag);
                });
 }

@@ -20,6 +20,14 @@
 // counts. The externally visible Simulator (`sim()`) becomes the control
 // simulator: run_until() on it drives the sharded engine via its run
 // delegate, and monitors/samplers scheduled on it keep working unchanged.
+//
+// Wire table: at construction the Network flattens the topology into one
+// immutable 64-byte Wire record per (node, port) — peer device and port,
+// peer shard, wire channel and its sequence counter, delay, rate, and the
+// precomputed serialization times of the MTU and of a PFC frame — laid
+// out node by node, and hands each device a pointer to its ports' records.
+// The packet path (transmit, send_pfc, the switch's route and transmit,
+// the host's send) reads only these records, never the Topology.
 #pragma once
 
 #include <cstdint>
@@ -74,16 +82,22 @@ class Network {
   const Host& host_at(NodeId id) const;
 
   Rate link_rate(NodeId node, PortId port) const {
-    return topo_.link(topo_.peer(node, port).link).rate;
+    return wire(node, port).rate;
   }
   Time link_delay(NodeId node, PortId port) const {
-    return topo_.link(topo_.peer(node, port).link).delay;
+    return wire(node, port).delay;
   }
 
-  /// Serializes `pkt` out of (from, port): the peer's on_receive fires after
-  /// serialization + propagation. The caller owns modelling the sender's
-  /// busy period (it lasts exactly serialization_time(size, link_rate)).
-  void transmit(NodeId from, PortId port, Packet pkt);
+  /// Sends `pkt` down wire `w` at the sender's time `now`: the peer's
+  /// on_receive fires after `ser` (the serialization time the sender
+  /// computed from `w`) plus propagation. The caller owns modelling its
+  /// busy period, which lasts at least `ser`.
+  void transmit(const Wire& w, Time now, Time ser, const Packet& pkt) {
+    engine_.post(w.peer_shard, now + ser + w.delay, w.chan, ++*w.seq,
+                 [peer = w.peer, port = w.peer_port, pkt]() mutable {
+                   peer->on_receive(port, pkt);
+                 });
+  }
 
   /// Sends a PFC pause/resume for `cls` to the peer of (from, port).
   /// Control frames incur propagation plus their own 64-byte serialization
@@ -135,6 +149,13 @@ class Network {
   void replay_record(const ShardedEngine::TraceRec& rec);
   ShardedEngine::TraceRec make_rec(std::uint32_t shard,
                                    ShardedEngine::RecKind kind, Time at);
+  /// Fills wires_/wire_base_ from the topology and binds every device to
+  /// its records (after all devices exist: records point at peers).
+  void build_wires();
+  /// The wire record of (node, port) (see file comment).
+  const Wire& wire(NodeId node, PortId port) const {
+    return wires_[wire_base_[node] + port];
+  }
 
   Simulator& sim_;
   const Topology& topo_;
@@ -154,6 +175,8 @@ class Network {
   static thread_local Trace* tls_trace_;     ///< shard workers' redirection
 
   std::vector<std::unique_ptr<Device>> devices_;
+  std::vector<Wire> wires_;              ///< per (node, port), node-major
+  std::vector<std::uint32_t> wire_base_;  ///< node -> its first record
 };
 
 }  // namespace dcdl

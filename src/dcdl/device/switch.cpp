@@ -14,26 +14,20 @@ Switch::Switch(Network& net, NodeId id, const NetConfig& cfg)
     : Device(net, id), cfg_(cfg) {
   DCDL_EXPECTS(cfg.num_classes >= 1 && cfg.num_classes <= kMaxClasses);
   const std::size_t ports = net.topo().degree(id);
-  from_stride_ = static_cast<std::uint32_t>(cfg.num_classes);
   num_classes_ = static_cast<std::size_t>(cfg.num_classes);
-  ingress_.resize(ports);
+  slots_ = ports * num_classes_;
+  IngressCounter fresh;
+  fresh.xoff = cfg.pfc.xoff_bytes;
+  fresh.xon = cfg.pfc.xon_bytes;
+  counters_.assign(slots_, fresh);
+  queues_.resize(slots_);
+  // Attribution spans every (queue, ingress) pair up front, so the
+  // enqueue/dequeue paths are bare indexed adds.
+  from_.assign(slots_ * slots_, 0);
   egress_.resize(ports);
+  egress_cold_.resize(ports);
+  shapers_.resize(ports);
   init_tx_ports(ports);
-  for (auto& in : ingress_) {
-    in.cls.resize(num_classes_);
-    for (auto& c : in.cls) {
-      c.xoff = cfg.pfc.xoff_bytes;
-      c.xon = cfg.pfc.xon_bytes;
-    }
-  }
-  for (auto& eg : egress_) {
-    eg.cls.resize(num_classes_);
-    for (auto& c : eg.cls) {
-      // Attribution vector spans every possible from_key up front, so the
-      // enqueue/dequeue paths are bare indexed adds.
-      c.from.assign(ports * num_classes_, 0);
-    }
-  }
   routes_.set_ecmp_salt(0x5DEECE66DULL * (id + 1));
   jitter_rng_.reseed(cfg.jitter_seed * 0x9E3779B97F4A7C15ULL + id);
   if (cfg.dataplane.enabled()) {
@@ -42,22 +36,30 @@ Switch::Switch(Network& net, NodeId id, const NetConfig& cfg)
   }
 }
 
+void Switch::expect_slot(PortId port, ClassId cls) const {
+  DCDL_EXPECTS(port < egress_.size());
+  DCDL_EXPECTS(cls < num_classes_);
+}
+
 void Switch::set_thresholds(PortId port, ClassId cls, std::int64_t xoff_bytes,
                             std::int64_t xon_bytes) {
   DCDL_EXPECTS(xon_bytes <= xoff_bytes);
-  auto& c = ingress_.at(port).cls.at(cls);
+  expect_slot(port, cls);
+  auto& c = counter(port, cls);
   c.xoff = xoff_bytes;
   c.xon = xon_bytes;
 }
 
 void Switch::set_ingress_shaper(PortId port, Rate rate,
                                 std::int64_t burst_bytes) {
-  ingress_.at(port).shaper =
-      std::make_unique<TokenBucketPacer>(rate, burst_bytes);
+  auto& in = shapers_.at(port);
+  if (!in.shaper) ++shaped_ports_;
+  in.shaper = std::make_unique<TokenBucketPacer>(rate, burst_bytes);
 }
 
 void Switch::clear_ingress_shaper(PortId port) {
-  auto& in = ingress_.at(port);
+  auto& in = shapers_.at(port);
+  if (in.shaper) --shaped_ports_;
   in.shaper.reset();
   while (!in.held.empty()) {
     Packet pkt = std::move(in.held.front());
@@ -67,24 +69,14 @@ void Switch::clear_ingress_shaper(PortId port) {
   }
 }
 
-Time Switch::tx_hold_time(const Packet& pkt, PortId egress) {
-  Time hold = serialization_time(pkt.size_bytes, net_.link_rate(id_, egress));
-  if (cfg_.tx_jitter > Time::zero()) {
-    hold += Time{static_cast<std::int64_t>(jitter_rng_.uniform(
-        static_cast<std::uint64_t>(cfg_.tx_jitter.ps()) + 1))};
-  }
-  return hold;
-}
-
 void Switch::update_pause_state(PortId port, ClassId cls) {
   // Every ingress-counter change funnels through here (admission, departure,
   // watchdog flush), so this is the one occupancy observation point.
+  auto& c = counter(port, cls);
   if (net_.trace().queue_bytes) {
-    net_.trace().queue_bytes(now(), id_, port, cls,
-                             ingress_[port].cls[cls].bytes);
+    net_.trace().queue_bytes(now(), id_, port, cls, c.bytes);
   }
   if (!cfg_.pfc.enabled) return;
-  auto& c = ingress_[port].cls[cls];
   if (!c.pause_asserted && c.bytes >= c.xoff) {
     c.pause_asserted = true;
     if (dp_ != nullptr) {
@@ -128,11 +120,10 @@ void Switch::on_receive(PortId in_port, Packet pkt) {
   }
 
   const ClassId in_class = pkt.prio;  // accounting class = class as received
-  auto& in = ingress_[in_port];
-  DCDL_ASSERT(in_class < in.cls.size());
+  DCDL_ASSERT(in_class < num_classes_);
 
   // Ingress admission: the packet now occupies buffer.
-  in.cls[in_class].bytes += pkt.size_bytes;
+  counter(in_port, in_class).bytes += pkt.size_bytes;
   total_buffered_ += pkt.size_bytes;
   update_pause_state(in_port, in_class);
 
@@ -145,11 +136,13 @@ void Switch::on_receive(PortId in_port, Packet pkt) {
       return;
     }
   }
-  if (in.shaper) {
-    in.held_bytes += pkt.size_bytes;
-    in.held.push_back(std::move(pkt));
-    schedule_shaper_release(in_port);
-    return;
+  if (shaped_ports_ != 0) {
+    if (auto& in = shapers_[in_port]; in.shaper) {
+      in.held_bytes += pkt.size_bytes;
+      in.held.push_back(std::move(pkt));
+      schedule_shaper_release(in_port);
+      return;
+    }
   }
   route_and_enqueue(in_port, in_class, std::move(pkt));
 }
@@ -201,19 +194,19 @@ void Switch::release_flow_held(FlowId flow) {
 }
 
 void Switch::schedule_shaper_release(PortId in_port) {
-  auto& in = ingress_[in_port];
+  auto& in = shapers_[in_port];
   if (in.release_scheduled || in.held.empty() || !in.shaper) return;
   const Time now = this->now();
   const Time ready = in.shaper->ready_at(now, in.held.front().size_bytes);
   in.release_scheduled = true;
   schedule_at(std::max(now, ready), [this, in_port] {
-    ingress_[in_port].release_scheduled = false;
+    shapers_[in_port].release_scheduled = false;
     release_held(in_port);
   });
 }
 
 void Switch::release_held(PortId in_port) {
-  auto& in = ingress_[in_port];
+  auto& in = shapers_[in_port];
   const Time now = this->now();
   while (!in.held.empty() && in.shaper &&
          in.shaper->ready_at(now, in.held.front().size_bytes) <= now) {
@@ -228,7 +221,7 @@ void Switch::release_held(PortId in_port) {
 
 void Switch::dec_ingress(PortId in_port, ClassId in_class,
                          const Packet& pkt) {
-  auto& ctr = ingress_[in_port].cls[in_class];
+  auto& ctr = counter(in_port, in_class);
   ctr.bytes -= pkt.size_bytes;
   DCDL_ASSERT(ctr.bytes >= 0);
   total_buffered_ -= pkt.size_bytes;
@@ -260,8 +253,7 @@ void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
     }
     return;
   }
-  const NodeId next = net_.topo().peer(id_, *egress).peer_node;
-  if (net_.topo().is_switch(next)) {
+  if (wire(*egress).peer_is_switch) {
     // Further switch-to-switch forwarding: TTL check and decrement.
     if (pkt.ttl == 0) {
       dec_ingress(in_port, in_class, pkt);
@@ -280,29 +272,30 @@ void Switch::route_and_enqueue(PortId in_port, ClassId in_class,
     DCDL_ASSERT(out < cfg_.num_classes);
     pkt.prio = out;
   }
-  auto& eg = egress_[*egress];
-  if (ecn_mark_on_enqueue(eg, *egress, pkt)) pkt.ecn_marked = true;
-  auto& q = eg.cls[pkt.prio];
+  if (ecn_mark_on_enqueue(*egress, pkt)) pkt.ecn_marked = true;
+  const std::size_t qs = slot(*egress, pkt.prio);
+  auto& q = queues_[qs];
   q.bytes += pkt.size_bytes;
-  q.from[from_key(in_port, in_class)] += pkt.size_bytes;
+  from(qs, slot(in_port, in_class)) += pkt.size_bytes;
   q.q.push_back(QueuedPacket{std::move(pkt), in_port, in_class, now});
   try_transmit(*egress);
 }
 
-bool Switch::ecn_mark_on_enqueue(EgressPort& eg, PortId port,
-                                 const Packet& pkt) {
+bool Switch::ecn_mark_on_enqueue(PortId port, const Packet& pkt) {
   if (!cfg_.ecn.enabled || !pkt.ecn_capable) return false;
   if (cfg_.ecn.phantom_speed_fraction >= 1.0) {
     // Mark against the real egress backlog.
     std::int64_t backlog = 0;
-    for (const auto& q : eg.cls) backlog += q.bytes;
+    for (std::size_t c = 0; c < num_classes_; ++c) {
+      backlog += queues_[slot(port, static_cast<ClassId>(c))].bytes;
+    }
     return backlog > cfg_.ecn.mark_threshold_bytes;
   }
   // Phantom queue: drains at a fraction of line speed, marks early.
+  auto& eg = egress_cold_[port];
   const Time now = this->now();
-  const double drain_bps =
-      static_cast<double>(net_.link_rate(id_, port).bps()) *
-      cfg_.ecn.phantom_speed_fraction;
+  const double drain_bps = static_cast<double>(wire(port).rate.bps()) *
+                           cfg_.ecn.phantom_speed_fraction;
   const double drained = drain_bps * (now - eg.phantom_last).ps() / 8e12;
   eg.phantom_bytes = std::max(0.0, eg.phantom_bytes - drained);
   eg.phantom_last = now;
@@ -310,8 +303,9 @@ bool Switch::ecn_mark_on_enqueue(EgressPort& eg, PortId port,
   return eg.phantom_bytes > static_cast<double>(cfg_.ecn.mark_threshold_bytes);
 }
 
-bool Switch::effectively_paused(const EgressPort& eg, ClassId cls) const {
-  if (!eg.paused[cls]) return false;
+bool Switch::effectively_paused(PortId port, ClassId cls) const {
+  if (!egress_[port].paused[cls]) return false;
+  const EgressPortCold& eg = egress_cold_[port];
   const Time now = this->now();
   if (cfg_.pfc.pause_quanta > Time::zero() && now >= eg.pause_expiry[cls]) {
     return false;  // the pause quanta lapsed without a refresh
@@ -323,11 +317,11 @@ void Switch::schedule_pause_refresh(PortId port, ClassId cls) {
   if (cfg_.pfc.pause_quanta == Time::zero() || !cfg_.pfc.pause_refresh) {
     return;
   }
-  auto& ctr = ingress_[port].cls[cls];
+  auto& ctr = counter(port, cls);
   if (ctr.refresh_scheduled) return;
   ctr.refresh_scheduled = true;
   schedule_in(cfg_.pfc.pause_quanta / 2, [this, port, cls] {
-    auto& c = ingress_[port].cls[cls];
+    auto& c = counter(port, cls);
     c.refresh_scheduled = false;
     if (c.pause_asserted) {
       if (dp_ != nullptr) {
@@ -341,38 +335,53 @@ void Switch::schedule_pause_refresh(PortId port, ClassId cls) {
   });
 }
 
+Switch::QueuedPacket Switch::pop_queued(PortId port, ClassId cls) {
+  const std::size_t qs = slot(port, cls);
+  auto& q = queues_[qs];
+  QueuedPacket qp = std::move(q.q.front());
+  q.q.pop_front();
+  q.bytes -= qp.pkt.size_bytes;
+  std::int64_t& charged = from(qs, slot(qp.in_port, qp.in_class));
+  charged -= qp.pkt.size_bytes;
+  DCDL_ASSERT(charged >= 0);
+  return qp;
+}
+
 void Switch::try_transmit(PortId egress) {
   auto& eg = egress_[egress];
   if (eg.busy) return;
   const std::size_t num_cls = num_classes_;
+  std::size_t c = eg.rr_class;
   for (std::size_t i = 0; i < num_cls; ++i) {
-    const std::size_t c = (eg.rr_class + i) % num_cls;
-    auto& q = eg.cls[c];
-    if (q.q.empty() || effectively_paused(eg, static_cast<ClassId>(c))) {
+    const auto cls = static_cast<ClassId>(c);
+    if (++c == num_cls) c = 0;
+    if (queues_[slot(egress, cls)].q.empty() ||
+        effectively_paused(egress, cls)) {
       continue;
     }
 
-    eg.rr_class = (c + 1) % num_cls;
-    QueuedPacket qp = std::move(q.q.front());
-    q.q.pop_front();
-    q.bytes -= qp.pkt.size_bytes;
-    q.from[from_key(qp.in_port, qp.in_class)] -= qp.pkt.size_bytes;
-    DCDL_ASSERT(q.from[from_key(qp.in_port, qp.in_class)] >= 0);
+    eg.rr_class = static_cast<std::uint8_t>(c);
+    QueuedPacket qp = pop_queued(egress, cls);
     dec_ingress(qp.in_port, qp.in_class, qp.pkt);
 
+    const Time now = this->now();
     if (net_.trace().hop_wait) {
-      const Time t = now();
-      net_.trace().hop_wait(t, id_, egress, static_cast<ClassId>(c),
-                            t - qp.enqueued_at);
+      net_.trace().hop_wait(now, id_, egress, cls, now - qp.enqueued_at);
     }
     if (net_.trace().tx_start) {
-      net_.trace().tx_start(now(), qp.pkt, id_, egress);
+      net_.trace().tx_start(now, qp.pkt, id_, egress);
     }
     count_tx(egress, qp.pkt.size_bytes);
     eg.busy = true;
-    const Time hold = tx_hold_time(qp.pkt, egress);
-    schedule_in(hold, [this, egress] { complete_transmit(egress); });
-    net_.transmit(id_, egress, std::move(qp.pkt));
+    const Wire& w = wire(egress);
+    const Time ser = w.serialization(qp.pkt.size_bytes, cfg_.mtu_bytes);
+    Time hold = ser;
+    if (cfg_.tx_jitter > Time::zero()) {
+      hold += Time{static_cast<std::int64_t>(jitter_rng_.uniform(
+          static_cast<std::uint64_t>(cfg_.tx_jitter.ps()) + 1))};
+    }
+    schedule_at(now + hold, [this, egress] { complete_transmit(egress); });
+    net_.transmit(w, now, ser, qp.pkt);
     return;
   }
 }
@@ -403,13 +412,12 @@ dataplane::PauseTag Switch::dp_tag_for_xoff(PortId port, ClassId cls) {
   // Propagate when the backlog behind this counter traces to an egress
   // queue frozen by a tagged downstream PAUSE — the chain grows upstream.
   // Deterministic scan order: lowest (egress, class) wins ties.
-  const std::uint32_t key_in = from_key(port, cls);
+  const std::size_t in_slot = slot(port, cls);
   for (PortId e = 0; e < static_cast<PortId>(egress_.size()); ++e) {
-    const auto& eg = egress_[e];
     for (std::size_t c2 = 0; c2 < num_classes_; ++c2) {
       const auto c2id = static_cast<ClassId>(c2);
-      if (!effectively_paused(eg, c2id)) continue;
-      if (eg.cls[c2].from[key_in] <= 0) continue;
+      if (!effectively_paused(e, c2id)) continue;
+      if (from(slot(e, c2id), in_slot) <= 0) continue;
       const dataplane::PauseTag& rx = dp_->rx(e, c2id);
       if (!rx.valid() || dp_->is_own(rx)) continue;
       return dp_->propagate(rx);
@@ -426,12 +434,12 @@ void Switch::dp_late_propagate(PortId port, ClassId cls,
   // stabilizes after one trip around a cycle, so re-sends terminate.
   bool have = false;
   dataplane::PauseTag prop;
-  const auto& q = egress_[port].cls[cls];
-  for (PortId p = 0; p < static_cast<PortId>(ingress_.size()); ++p) {
+  const std::size_t qs = slot(port, cls);
+  for (PortId p = 0; p < static_cast<PortId>(egress_.size()); ++p) {
     for (std::size_t c2 = 0; c2 < num_classes_; ++c2) {
       const auto c2id = static_cast<ClassId>(c2);
-      if (!ingress_[p].cls[c2].pause_asserted) continue;
-      if (q.from[from_key(p, c2id)] <= 0) continue;
+      if (!counter(p, c2id).pause_asserted) continue;
+      if (from(qs, slot(p, c2id)) <= 0) continue;
       if (!have) {
         prop = dp_->propagate(tag);
         have = true;
@@ -449,7 +457,7 @@ void Switch::dp_on_own_tag(PortId port, ClassId cls,
   // ingress (origin_port, origin_cls) came back to freeze our egress
   // (port, cls), and that egress holds bytes charged to exactly that
   // ingress counter — the dependency bites its own tail here.
-  const auto& ctr = ingress_[tag.origin_port].cls[tag.origin_cls];
+  const auto& ctr = counter(tag.origin_port, tag.origin_cls);
   if (!ctr.pause_asserted) return;
   if (egress_bytes_from(port, cls, tag.origin_port, tag.origin_cls) <= 0) {
     return;
@@ -466,7 +474,7 @@ void Switch::dp_resolve_candidate() {
   probe::Profiler::Scope span(probe::Profiler::Span::kDataplane);
   if (dp_ == nullptr || !dp_->candidate_pending()) return;
   const dataplane::PauseTag tag = dp_->candidate_tag();
-  const auto& ctr = ingress_[tag.origin_port].cls[tag.origin_cls];
+  const auto& ctr = counter(tag.origin_port, tag.origin_cls);
   using Verdict = dataplane::Pipeline::Verdict;
   switch (dp_->resolve_candidate(ctr.pause_asserted, ctr.departure_count)) {
     case Verdict::kFalseAlarm:
@@ -503,8 +511,8 @@ void Switch::dp_recover(const dataplane::PauseTag& tag) {
   for (PortId e = 0; e < static_cast<PortId>(egress_.size()); ++e) {
     for (std::size_t c2 = 0; c2 < num_classes_; ++c2) {
       const auto c2id = static_cast<ClassId>(c2);
-      if (!effectively_paused(egress_[e], c2id)) continue;
-      if (egress_[e].cls[c2].bytes <= 0) continue;
+      if (!effectively_paused(e, c2id)) continue;
+      if (queue(e, c2id).bytes <= 0) continue;
       switch (policy) {
         case RecoveryPolicy::kDrop:
           acted += flush_egress_queue(e, c2id, DropReason::kDataplaneReset);
@@ -554,21 +562,14 @@ void Switch::dp_rescan_own_tags() {
 }
 
 std::uint64_t Switch::dp_reroute_queue(PortId port, ClassId cls) {
-  auto& q = egress_[port].cls[cls];
   std::uint64_t moved = 0;
   // Drain the frozen queue into scratch first: re-queue may legitimately
   // re-select the same egress when no detour exists, and must not then be
   // popped again. Heap allocation is fine here — recovery is rare and off
   // the steady-state path.
   std::vector<QueuedPacket> scratch;
-  scratch.reserve(q.q.size());
-  while (!q.q.empty()) {
-    QueuedPacket qp = std::move(q.q.front());
-    q.q.pop_front();
-    q.bytes -= qp.pkt.size_bytes;
-    q.from[from_key(qp.in_port, qp.in_class)] -= qp.pkt.size_bytes;
-    scratch.push_back(std::move(qp));
-  }
+  scratch.reserve(queue(port, cls).q.size());
+  while (!queue(port, cls).q.empty()) scratch.push_back(pop_queued(port, cls));
   for (QueuedPacket& qp : scratch) {
     dp_install_detour(qp.pkt, port);
     ++moved;
@@ -604,13 +605,14 @@ void Switch::dp_install_detour(const Packet& pkt, PortId avoid) {
 
 void Switch::on_pfc(PortId port, ClassId cls, bool pause) {
   auto& eg = egress_.at(port);
+  auto& cold = egress_cold_[port];
   const Time now = this->now();
   if (pause && !eg.paused.at(cls)) {
-    eg.paused_since.at(cls) = now;
+    cold.paused_since[cls] = now;
   }
-  eg.paused.at(cls) = pause;
+  eg.paused[cls] = pause;
   if (pause && cfg_.pfc.pause_quanta > Time::zero()) {
-    eg.pause_expiry.at(cls) = now + cfg_.pfc.pause_quanta;
+    cold.pause_expiry[cls] = now + cfg_.pfc.pause_quanta;
     // Wake the transmitter when the quanta lapses in case no refresh comes.
     schedule_in(cfg_.pfc.pause_quanta, [this, port] { try_transmit(port); });
   }
@@ -618,26 +620,21 @@ void Switch::on_pfc(PortId port, ClassId cls, bool pause) {
 }
 
 Time Switch::egress_paused_for(PortId port, ClassId cls) const {
-  const auto& eg = egress_.at(port);
-  if (!eg.paused.at(cls)) return Time::zero();
-  return now() - eg.paused_since.at(cls);
+  if (!egress_.at(port).paused.at(cls)) return Time::zero();
+  return now() - egress_cold_[port].paused_since[cls];
 }
 
 std::uint64_t Switch::flush_egress_queue(PortId port, ClassId cls,
                                          DropReason reason) {
-  auto& eg = egress_.at(port);
-  auto& q = eg.cls.at(cls);
+  expect_slot(port, cls);
   const Time now = this->now();
   std::uint64_t dropped = 0;
-  while (!q.q.empty()) {
-    QueuedPacket qp = std::move(q.q.front());
-    q.q.pop_front();
-    q.bytes -= qp.pkt.size_bytes;
-    q.from[from_key(qp.in_port, qp.in_class)] -= qp.pkt.size_bytes;
+  while (!queue(port, cls).q.empty()) {
+    const QueuedPacket qp = pop_queued(port, cls);
     // Releasing the buffer credits the ingress counter (possibly sending
     // the RESUME that untangles the upstream), exactly like a forward —
     // but a flushed packet is not a departure.
-    ingress_.at(qp.in_port).cls.at(qp.in_class).bytes -= qp.pkt.size_bytes;
+    counter(qp.in_port, qp.in_class).bytes -= qp.pkt.size_bytes;
     total_buffered_ -= qp.pkt.size_bytes;
     update_pause_state(qp.in_port, qp.in_class);
     count_drop(reason);
@@ -650,24 +647,24 @@ std::uint64_t Switch::flush_egress_queue(PortId port, ClassId cls,
 }
 
 void Switch::ignore_pause_until(PortId port, ClassId cls, Time until) {
-  auto& eg = egress_.at(port);
-  eg.ignore_pause_until.at(cls) = until;
+  expect_slot(port, cls);
+  auto& cold = egress_cold_[port];
+  cold.ignore_pause_until[cls] = until;
   // Restart the storm clock so the watchdog measures the pause anew after
   // its intervention rather than re-firing every poll.
-  eg.paused_since.at(cls) = now();
+  cold.paused_since[cls] = now();
   try_transmit(port);
 }
 
 std::int64_t Switch::ingress_bytes(PortId port, ClassId cls) const {
-  return ingress_.at(port).cls.at(cls).bytes;
+  expect_slot(port, cls);
+  return counter(port, cls).bytes;
 }
 
 std::int64_t Switch::max_ingress_bytes() const {
   std::int64_t max_bytes = 0;
-  for (const IngressPort& port : ingress_) {
-    for (const IngressCounter& ctr : port.cls) {
-      max_bytes = std::max(max_bytes, ctr.bytes);
-    }
+  for (const IngressCounter& ctr : counters_) {
+    max_bytes = std::max(max_bytes, ctr.bytes);
   }
   return max_bytes;
 }
@@ -676,21 +673,21 @@ std::int64_t Switch::ingress_flow_bytes(PortId port, ClassId cls,
                                         FlowId flow) const {
   // Everything charged to counter (port, cls) sits in one of three places:
   // an egress FIFO (routed), the port's shaper queue, or a flow shaper.
-  const IngressPort& in = ingress_.at(port);
-  if (in.cls.at(cls).bytes == 0) return 0;
-  const std::uint32_t key = from_key(port, cls);
+  expect_slot(port, cls);
+  if (counter(port, cls).bytes == 0) return 0;
+  const std::size_t in_slot = slot(port, cls);
   std::int64_t bytes = 0;
-  for (const EgressPort& eg : egress_) {
-    for (const EgressClassQueue& q : eg.cls) {
-      if (q.from[key] == 0) continue;
-      for (std::size_t i = 0; i < q.q.size(); ++i) {
-        const QueuedPacket& qp = q.q[i];
-        if (qp.in_port == port && qp.in_class == cls && qp.pkt.flow == flow) {
-          bytes += qp.pkt.size_bytes;
-        }
+  for (std::size_t qs = 0; qs < slots_; ++qs) {
+    if (from(qs, in_slot) == 0) continue;
+    const EgressClassQueue& q = queues_[qs];
+    for (std::size_t i = 0; i < q.q.size(); ++i) {
+      const QueuedPacket& qp = q.q[i];
+      if (qp.in_port == port && qp.in_class == cls && qp.pkt.flow == flow) {
+        bytes += qp.pkt.size_bytes;
       }
     }
   }
+  const IngressShaper& in = shapers_[port];
   for (std::size_t i = 0; i < in.held.size(); ++i) {
     const Packet& pkt = in.held[i];
     if (pkt.prio == cls && pkt.flow == flow) bytes += pkt.size_bytes;
@@ -706,7 +703,8 @@ std::int64_t Switch::ingress_flow_bytes(PortId port, ClassId cls,
 }
 
 bool Switch::pause_asserted(PortId port, ClassId cls) const {
-  return ingress_.at(port).cls.at(cls).pause_asserted;
+  expect_slot(port, cls);
+  return counter(port, cls).pause_asserted;
 }
 
 bool Switch::egress_paused(PortId port, ClassId cls) const {
@@ -714,22 +712,24 @@ bool Switch::egress_paused(PortId port, ClassId cls) const {
 }
 
 std::int64_t Switch::egress_queue_bytes(PortId port, ClassId cls) const {
-  return egress_.at(port).cls.at(cls).bytes;
+  expect_slot(port, cls);
+  return queue(port, cls).bytes;
 }
 
 std::int64_t Switch::egress_bytes_from(PortId port, ClassId cls,
                                        PortId in_port, ClassId in_cls) const {
-  const auto& from = egress_.at(port).cls.at(cls).from;
-  const std::uint32_t key = from_key(in_port, in_cls);
-  return key < from.size() ? from[key] : 0;
+  expect_slot(port, cls);
+  if (in_port >= egress_.size() || in_cls >= num_classes_) return 0;
+  return from(slot(port, cls), slot(in_port, in_cls));
 }
 
 std::uint64_t Switch::departures(PortId port, ClassId cls) const {
-  return ingress_.at(port).cls.at(cls).departure_count;
+  expect_slot(port, cls);
+  return counter(port, cls).departure_count;
 }
 
 std::int64_t Switch::shaper_held_bytes(PortId port) const {
-  std::int64_t total = ingress_.at(port).held_bytes;
+  std::int64_t total = shapers_.at(port).held_bytes;
   for (const auto& [flow, fs] : flow_shapers_) {
     for (std::size_t i = 0; i < fs.held.size(); ++i) {
       if (fs.held[i].in_port == port) total += fs.held[i].pkt.size_bytes;

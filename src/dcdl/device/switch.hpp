@@ -35,9 +35,14 @@
 //    line rate (EcnConfig).
 //
 // Hot-path memory layout (see DESIGN.md "Hot-path memory architecture"):
-// routes are dense per-destination group indices (RouteTable), per-ingress
-// egress attribution is a dense vector indexed by from_key, and every
-// packet FIFO is a pooled RingQueue — at steady state a packet
+// routes are dense per-destination group indices (RouteTable); ingress
+// counters and egress class queues are flat [port × class] arrays indexed
+// by slot(port, cls); per-ingress egress attribution is one per-switch
+// [egress slot × ingress slot] block of byte counts; each egress port's
+// transmit state (busy, round-robin cursor, pause bits) sits apart from
+// its pause timestamps and phantom queue, and shaper state from both; the
+// peer and serialization times come from the Network's wire table; and
+// every packet FIFO is a pooled RingQueue — at steady state a packet
 // arrival/forward performs no heap allocation. Per-flow occupancy is not
 // switch state: ingress_flow_bytes() computes it on demand by scanning the
 // packets charged to a counter.
@@ -107,7 +112,7 @@ class Switch final : public Device {
   const dataplane::Pipeline* pipeline() const { return dp_.get(); }
 
   // --- Introspection (analysis & statistics) ---
-  std::size_t num_ports() const { return ingress_.size(); }
+  std::size_t num_ports() const { return egress_.size(); }
   /// Ingress counter value (the quantity PFC thresholds act on).
   std::int64_t ingress_bytes(PortId port, ClassId cls) const;
   /// Bytes of one flow currently attributed to an ingress counter (the
@@ -171,8 +176,8 @@ class Switch final : public Device {
     std::int64_t xon = 0;
   };
 
-  struct IngressPort {
-    std::vector<IngressCounter> cls;
+  /// A per-ingress-port token-bucket shaper and its holding FIFO.
+  struct IngressShaper {
     std::unique_ptr<TokenBucketPacer> shaper;
     /// Awaiting shaper release; `prio` is still the class charged.
     RingQueue<Packet> held;
@@ -197,28 +202,30 @@ class Switch final : public Device {
   struct EgressClassQueue {
     RingQueue<QueuedPacket> q;
     std::int64_t bytes = 0;
-    /// Attribution: bytes per from_key(in_port, in_class), dense (sized
-    /// ports * num_classes at construction — no per-packet hashing).
-    std::vector<std::int64_t> from;
   };
 
+  /// What every transmit attempt reads of an egress port.
   struct EgressPort {
-    std::vector<EgressClassQueue> cls;
+    bool busy = false;
+    std::uint8_t rr_class = 0;  ///< next class the round robin tries
     std::array<bool, kMaxClasses> paused{};
+  };
+
+  /// Egress port state that only pause transitions, paused classes, the
+  /// watchdog and ECN marking touch.
+  struct EgressPortCold {
     std::array<Time, kMaxClasses> paused_since{};
     std::array<Time, kMaxClasses> ignore_pause_until{};
     /// With pause_quanta enabled: when the current pause lapses.
     std::array<Time, kMaxClasses> pause_expiry{};
-    bool busy = false;
-    std::size_t rr_class = 0;
     // Phantom queue state for ECN marking.
     double phantom_bytes = 0;
     Time phantom_last = Time::zero();
   };
 
-  /// Effective pause state after quanta expiry and any watchdog
-  /// ignore-window.
-  bool effectively_paused(const EgressPort& eg, ClassId cls) const;
+  /// Effective pause state of egress (port, cls) after quanta expiry and
+  /// any watchdog ignore-window.
+  bool effectively_paused(PortId port, ClassId cls) const;
   void schedule_pause_refresh(PortId port, ClassId cls);
 
   /// Routes and enqueues a packet that has cleared ingress admission (and
@@ -232,11 +239,36 @@ class Switch final : public Device {
   void release_flow_held(FlowId flow);
   void dec_ingress(PortId in_port, ClassId in_class, const Packet& pkt);
   void update_pause_state(PortId port, ClassId cls);
-  bool ecn_mark_on_enqueue(EgressPort& eg, PortId port, const Packet& pkt);
-  Time tx_hold_time(const Packet& pkt, PortId egress);
-  std::uint32_t from_key(PortId in_port, ClassId in_cls) const {
-    return static_cast<std::uint32_t>(in_port) * from_stride_ + in_cls;
+  bool ecn_mark_on_enqueue(PortId port, const Packet& pkt);
+  /// Index of (port, cls) in the flat [port × class] arrays.
+  std::size_t slot(PortId port, ClassId cls) const {
+    return static_cast<std::size_t>(port) * num_classes_ + cls;
   }
+  IngressCounter& counter(PortId port, ClassId cls) {
+    return counters_[slot(port, cls)];
+  }
+  const IngressCounter& counter(PortId port, ClassId cls) const {
+    return counters_[slot(port, cls)];
+  }
+  EgressClassQueue& queue(PortId port, ClassId cls) {
+    return queues_[slot(port, cls)];
+  }
+  const EgressClassQueue& queue(PortId port, ClassId cls) const {
+    return queues_[slot(port, cls)];
+  }
+  /// Bytes of egress queue `queue_slot` charged to ingress counter
+  /// `in_slot`.
+  std::int64_t& from(std::size_t queue_slot, std::size_t in_slot) {
+    return from_[queue_slot * slots_ + in_slot];
+  }
+  std::int64_t from(std::size_t queue_slot, std::size_t in_slot) const {
+    return from_[queue_slot * slots_ + in_slot];
+  }
+  /// Takes the head of egress (port, cls) off the queue and its
+  /// attribution; the packet stays charged to its ingress counter.
+  QueuedPacket pop_queued(PortId port, ClassId cls);
+  /// Checks a caller-supplied (port, cls) against this switch's shape.
+  void expect_slot(PortId port, ClassId cls) const;
 
   // --- Dataplane pipeline stages (all no-ops unless dp_ is allocated) ---
   /// Tag stage, PFC side: the tag to send with the Xoff of ingress counter
@@ -265,18 +297,25 @@ class Switch final : public Device {
   /// no alternative next hop reaches the destination).
   void dp_install_detour(const Packet& pkt, PortId avoid);
 
+  // Members every packet reads come first, so a hop touches as few of
+  // this object's cache lines as possible.
   const NetConfig& cfg_;
-  RouteTable routes_;
-  /// Hoisted per-packet constants (avoid re-deriving from cfg_ per packet).
-  std::uint32_t from_stride_ = 1;  ///< == cfg_.num_classes
-  std::size_t num_classes_ = 1;
-  std::vector<IngressPort> ingress_;
-  std::vector<EgressPort> egress_;
-  std::unordered_map<FlowId, FlowShaper> flow_shapers_;
-  std::int64_t total_buffered_ = 0;
-  Rng jitter_rng_;
   /// In-switch DCFIT pipeline; allocated only when cfg.dataplane.enabled().
   std::unique_ptr<dataplane::Pipeline> dp_;
+  /// Hoisted per-packet constants (avoid re-deriving from cfg_ per packet).
+  std::size_t num_classes_ = 1;  ///< == cfg_.num_classes
+  std::size_t slots_ = 0;        ///< ports * num_classes_
+  std::int64_t total_buffered_ = 0;
+  std::size_t shaped_ports_ = 0;  ///< ports with a shaper installed
+  std::vector<IngressCounter> counters_;  ///< [port × class]
+  std::vector<EgressClassQueue> queues_;  ///< [port × class]
+  std::vector<std::int64_t> from_;        ///< [queue slot × ingress slot]
+  std::vector<EgressPort> egress_;
+  std::unordered_map<FlowId, FlowShaper> flow_shapers_;
+  RouteTable routes_;
+  Rng jitter_rng_;
+  std::vector<EgressPortCold> egress_cold_;
+  std::vector<IngressShaper> shapers_;  ///< per ingress port
 };
 
 }  // namespace dcdl

@@ -108,15 +108,16 @@ class RouteTable {
   /// The group holding exactly `egresses`, appended if new.
   std::uint32_t intern(std::span<const PortId> egresses);
 
+  // lookup() reads the members up to salt_mix_, which sit together.
   FlowMap<FlowRoute> by_flow_;
   std::vector<std::uint32_t> dst_group_;  ///< dst -> group, or kNoGroup
   std::vector<Group> groups_;
   std::vector<PortId> pool_;
+  std::uint64_t salt_mix_ = 0;
+  std::uint64_t version_ = 0;
   /// FNV-1a of a candidate list -> newest group with that hash (older ones
   /// chain through Group::next).
   std::unordered_map<std::uint64_t, std::uint32_t> group_index_;
-  std::uint64_t salt_mix_ = 0;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace dcdl

@@ -100,40 +100,43 @@ void Simulator::cancel(EventId id) {
   ++cancelled_;
 }
 
+void Simulator::pop_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  heap_.pop_back();
+}
+
+void Simulator::fire(const Entry& top) {
+  DCDL_ASSERT(top.at >= now_);
+  Slot& s = slab_[top.slot];
+  // Retire the slot *before* firing: a cancel() of this event from inside
+  // its own callback sees a bumped generation and is a no-op, and the
+  // callback may immediately reschedule into the recycled slot.
+  EventFn fn = std::move(s.fn);
+  s.live = false;
+  ++s.gen;
+  free_slots_.push_back(top.slot);
+  --live_;
+  now_ = top.at;
+  cur_chan_ = top.chan;
+  cur_seq_ = top.seq;
+  intra_ = 0;
+  ++executed_;
+  fn();
+}
+
 bool Simulator::step() {
   while (!heap_.empty()) {
     const Entry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    heap_.pop_back();
-    Slot& s = slab_[top.slot];
-    if (s.gen != top.gen || !s.live) continue;  // cancelled husk: reclaim
-    DCDL_ASSERT(top.at >= now_);
-    // Retire the slot *before* firing: a cancel() of this event from inside
-    // its own callback sees a bumped generation and is a no-op, and the
-    // callback may immediately reschedule into the recycled slot.
-    EventFn fn = std::move(s.fn);
-    s.live = false;
-    ++s.gen;
-    free_slots_.push_back(top.slot);
-    --live_;
-    now_ = top.at;
-    cur_chan_ = top.chan;
-    cur_seq_ = top.seq;
-    intra_ = 0;
-    ++executed_;
-    fn();
+    pop_top();
+    if (is_husk(top)) continue;  // cancelled husk: reclaim
+    fire(top);
     return true;
   }
   return false;
 }
 
 void Simulator::skim_husks() {
-  while (!heap_.empty()) {
-    const Slot& s = slab_[heap_.front().slot];
-    if (s.live && s.gen == heap_.front().gen) return;
-    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    heap_.pop_back();
-  }
+  while (!heap_.empty() && is_husk(heap_.front())) pop_top();
 }
 
 void Simulator::run() {
@@ -176,15 +179,26 @@ bool Simulator::run_until(Time deadline) {
 std::uint64_t Simulator::run_keyed_window(Time limit_at,
                                           std::uint64_t limit_chan) {
   std::uint64_t executed = 0;
-  for (;;) {
-    skim_husks();
-    if (heap_.empty()) break;
-    const Entry& top = heap_.front();
+  while (!heap_.empty()) {
+    const Entry top = heap_.front();
+    if (is_husk(top)) {
+      pop_top();
+      continue;
+    }
     if (top.at > limit_at ||
         (top.at == limit_at && top.chan >= limit_chan)) {
       break;
     }
-    step();
+    pop_top();
+    if (!heap_.empty()) {
+      // The next top is the likeliest next event: start loading its slot
+      // (closure, generation) while this one runs.
+      const char* next =
+          reinterpret_cast<const char*>(&slab_[heap_.front().slot]);
+      __builtin_prefetch(next);
+      __builtin_prefetch(next + sizeof(Slot) - 1);
+    }
+    fire(top);
     ++executed;
   }
   advance_to(limit_at);

@@ -18,7 +18,11 @@
 // list, the time-ordered heap holds only POD (time, chan, seq, slot, gen)
 // entries, and closures are stored inline via InplaceFn — steady-state
 // scheduling, firing, and cancelling perform zero heap allocation and zero
-// hashing.
+// hashing. Device closures are trivially copyable, so moving one into and
+// out of its slot is a fixed-size copy (InplaceFn's relocation rule). The
+// window loop (run_keyed_window) reads the heap top once per event — husk
+// check, limit check, pop — and prefetches the next event's slab slot
+// while the current callback runs.
 #pragma once
 
 #include <cstdint>
@@ -231,6 +235,14 @@ class Simulator {
   /// Pops cancelled husks off the heap top; afterwards the top (if any) is
   /// live.
   void skim_husks();
+  /// True if `e` is a cancelled event's leftover heap entry.
+  bool is_husk(const Entry& e) const {
+    const Slot& s = slab_[e.slot];
+    return s.gen != e.gen || !s.live;
+  }
+  void pop_top();
+  /// Retires the live event `top` (already popped) and runs it.
+  void fire(const Entry& top);
 
   static thread_local int arena_scope_depth_;
   static thread_local std::vector<Arena>* arena_stash_;

@@ -6,7 +6,8 @@
 // scenario. These tests pin that contract three ways:
 //   - FNV-1a digests over the full observation stream (the same fold the
 //     golden-trace tests use) compared across shard counts on the paper's
-//     ring, routing-loop, and a k=4 fat-tree permutation;
+//     ring, routing-loop, and two k=4 fat-tree loads, the fat-tree ones
+//     also against committed literals;
 //   - run_and_check summaries (deadlock verdict, detection instant,
 //     wait-for cycle, trapped bytes, per-flow delivered) and the rendered
 //     forensics report, compared byte-for-byte;
@@ -21,6 +22,7 @@
 // workers allocate during warm-up (slab growth, mailbox capacity).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include "dcdl/device/host.hpp"
 #include "dcdl/forensics/causality.hpp"
 #include "dcdl/forensics/report.hpp"
+#include "dcdl/mitigation/class_policy.hpp"
 #include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
 #include "dcdl/sim/sharded.hpp"
@@ -119,8 +122,9 @@ class TraceDigest {
 
 /// Attaches digest observers to every trace slot, runs to `run_for`, seals
 /// with the executed-event count and residual buffered bytes. Identical
-/// fold to the golden-trace pins — but here the constant under test is
-/// "whatever shards=1 produced", not a committed literal.
+/// fold to the golden-trace pins. Most tests here compare against
+/// "whatever shards=1 produced"; the fat-tree digests are also committed
+/// literals.
 std::uint64_t digest_net(Simulator& sim, Network& net, Time run_for) {
   TraceDigest d;
   Trace& tr = net.trace();
@@ -174,14 +178,35 @@ std::uint64_t routing_loop_digest(int shards, Rate inject, Time run_for) {
   return digest_net(*s.sim, *s.net, run_for);
 }
 
-/// k=4 fat-tree, all-hosts permutation traffic (the bench's throughput
-/// scenario): 16 hosts, host i sends to host (i + 8) mod 16 — every flow
-/// crosses pods, so every packet crosses shards under per-pod sharding.
-std::uint64_t fat_tree_digest(int shards, Time run_for) {
+/// Traffic on the k=4 fat-tree (16 hosts) of fat_tree_digest.
+enum class FatTreeLoad {
+  /// The bench's throughput scenario: host i sends to host (i + 8) mod 16
+  /// through a 10 Gbps token bucket — every flow crosses pods, so every
+  /// packet crosses shards under per-pod sharding.
+  kPermutation,
+  /// Hot enough to trip PFC in both classes: hosts 2j and 2j+1 both send
+  /// Poisson traffic at 30 Gbps to host (2j + 8) mod 16 (60 Gbps into one
+  /// 40 Gbps downlink), two classes assigned by hop count
+  /// (mitigation::hop_class_mapper), and 10 ns of transmit jitter.
+  kHotTwoClass,
+};
+
+/// Digest of a k=4 fat-tree run under `load`; `xoffs`, when given, counts
+/// the Xoff transitions of each class.
+std::uint64_t fat_tree_digest(int shards, Time run_for,
+                              FatTreeLoad load = FatTreeLoad::kPermutation,
+                              std::array<std::uint64_t, 2>* xoffs = nullptr) {
   Simulator sim;
   const topo::FatTreeTopo ft = topo::make_fat_tree(4);
+  NetConfig cfg;
+  const bool hot = load == FatTreeLoad::kHotTwoClass;
+  if (hot) {
+    cfg.num_classes = 2;
+    cfg.reclass = mitigation::hop_class_mapper(2);
+    cfg.tx_jitter = 10_ns;
+  }
   std::optional<ScopedShardRequest> req{std::in_place, shards};
-  auto net = std::make_unique<Network>(sim, ft.topo, NetConfig{});
+  auto net = std::make_unique<Network>(sim, ft.topo, cfg);
   req.reset();
   routing::install_shortest_paths(*net);
   const int n = static_cast<int>(ft.all_hosts.size());
@@ -189,10 +214,25 @@ std::uint64_t fat_tree_digest(int shards, Time run_for) {
     FlowSpec f;
     f.id = static_cast<FlowId>(i + 1);
     f.src_host = ft.all_hosts[static_cast<std::size_t>(i)];
-    f.dst_host = ft.all_hosts[static_cast<std::size_t>((i + n / 2) % n)];
+    const int dst = hot ? (i / 2 * 2 + n / 2) % n : (i + n / 2) % n;
+    f.dst_host = ft.all_hosts[static_cast<std::size_t>(dst)];
     f.packet_bytes = 1000;
-    net->host_at(f.src_host).add_flow(
-        f, std::make_unique<TokenBucketPacer>(Rate::gbps(10), 2000));
+    std::unique_ptr<Pacer> pacer;
+    if (hot) {
+      pacer = std::make_unique<PoissonPacer>(Rate::gbps(30), f.packet_bytes,
+                                             static_cast<std::uint64_t>(i + 1));
+    } else {
+      pacer = std::make_unique<TokenBucketPacer>(Rate::gbps(10), 2000);
+    }
+    net->host_at(f.src_host).add_flow(f, std::move(pacer));
+  }
+  if (xoffs != nullptr) {
+    *xoffs = {};
+    stats::append_hook<Time, NodeId, PortId, ClassId, bool>(
+        net->trace().pfc_state,
+        [xoffs](Time, NodeId, PortId, ClassId cls, bool paused) {
+          if (paused) ++(*xoffs)[cls];
+        });
   }
   return digest_net(sim, *net, run_for);
 }
@@ -218,10 +258,31 @@ TEST(ShardedDigest, RoutingLoopBelowBoundaryInvariant) {
   EXPECT_EQ(routing_loop_digest(2, Rate::gbps(4), 2_ms), base);
 }
 
+// Committed fat-tree digests, computed before the device layer's storage
+// was flattened (wire table, per-(port, class) switch arrays): a layout
+// change that altered behaviour identically at every shard count would
+// pass a 1-vs-K comparison, but not these.
+constexpr std::uint64_t kFatTreePermutationDigest = 0xDAB434CF3E92A1D1ULL;
+constexpr std::uint64_t kFatTreeHotTwoClassDigest = 0x709C7CD70DD5E4BCULL;
+
 TEST(ShardedDigest, FatTreePermutationInvariant) {
-  const std::uint64_t base = fat_tree_digest(1, 500_us);
-  EXPECT_EQ(fat_tree_digest(2, 500_us), base);
-  EXPECT_EQ(fat_tree_digest(4, 500_us), base);
+  EXPECT_EQ(fat_tree_digest(1, 500_us), kFatTreePermutationDigest);
+  EXPECT_EQ(fat_tree_digest(2, 500_us), kFatTreePermutationDigest);
+  EXPECT_EQ(fat_tree_digest(4, 500_us), kFatTreePermutationDigest);
+}
+
+TEST(ShardedDigest, FatTreeHotTwoClassPinnedAndInvariant) {
+  std::array<std::uint64_t, 2> xoffs{};
+  EXPECT_EQ(fat_tree_digest(1, 500_us, FatTreeLoad::kHotTwoClass, &xoffs),
+            kFatTreeHotTwoClassDigest);
+  // The input must reach PFC in both classes, or it pins nothing the
+  // permutation digest does not.
+  EXPECT_GT(xoffs[0], 0u);
+  EXPECT_GT(xoffs[1], 0u);
+  EXPECT_EQ(fat_tree_digest(2, 500_us, FatTreeLoad::kHotTwoClass),
+            kFatTreeHotTwoClassDigest);
+  EXPECT_EQ(fat_tree_digest(4, 500_us, FatTreeLoad::kHotTwoClass),
+            kFatTreeHotTwoClassDigest);
 }
 
 // ---------------------------------------------------------------------------

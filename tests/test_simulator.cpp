@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "dcdl/net/packet.hpp"
 #include "dcdl/sim/simulator.hpp"
 
 namespace dcdl {
@@ -229,6 +233,46 @@ TEST(Simulator, SlabStaysBoundedUnderSteadyChurn) {
   sim.run();
   EXPECT_GE(churn.fired, 1'000'000u);
   EXPECT_LE(sim.slab_slots(), 16u);
+}
+
+TEST(InplaceFn, TrivialClosureSurvivesRelocation) {
+  // The transmit closure's shape: a pointer, a port and a Packet by value
+  // (64 bytes). Trivially copyable, so every move is a buffer copy.
+  int fired = 0;
+  Packet pkt;
+  pkt.id = 0xABCDEF;
+  pkt.size_bytes = 1000;
+  auto body = [out = &fired, port = PortId{3}, pkt]() {
+    *out += static_cast<int>(port + pkt.size_bytes + (pkt.id == 0xABCDEF));
+  };
+  static_assert(std::is_trivially_copyable_v<decltype(body)>);
+  static_assert(sizeof(body) == 64, "the largest device closure");
+  EventFn a(body);
+  EventFn b(std::move(a));
+  EXPECT_FALSE(a);
+  EventFn c;
+  c = std::move(b);
+  EXPECT_FALSE(b);
+  ASSERT_TRUE(c);
+  c();
+  EXPECT_EQ(fired, 1004);
+}
+
+TEST(InplaceFn, NonTrivialClosureIsDestroyedExactlyOnce) {
+  // A closure owning a resource still goes through its manager: moves
+  // transfer ownership and the last holder releases it.
+  auto owned = std::make_shared<int>(5);
+  std::weak_ptr<int> watch = owned;
+  {
+    EventFn a([p = std::move(owned)] { ++*p; });
+    EventFn b(std::move(a));
+    EventFn c;
+    c = std::move(b);
+    c();
+    ASSERT_FALSE(watch.expired());
+    EXPECT_EQ(*watch.lock(), 6);
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(SimulatorDeath, RejectsSchedulingInThePast) {

@@ -184,29 +184,51 @@ TEST(SwitchInternals, PerFlowOccupancyFollowsDrain) {
 /// Samples every (switch, port, class) of `s` every 5 us up to `until`:
 /// the per-flow occupancies of the scenario's flows must sum to the
 /// ingress counter, and a flow that never entered the network reads 0.
-void expect_flow_occupancy_sums(scenarios::Scenario& s, Time until) {
+/// Per ingress port, the bytes every egress (port, class) attributes to it
+/// plus its shaper-held bytes must equal its counters' total — which
+/// checks the per-(ingress port, class) attribution that transmit and
+/// flush undo. Returns the number of non-zero samples in classes above 0.
+int expect_flow_occupancy_sums(scenarios::Scenario& s, Time until) {
   constexpr FlowId kAbsent = 4242;
+  const auto num_classes =
+      static_cast<ClassId>(s.net->config().num_classes);
   int nonzero_samples = 0;
+  int upper_class_samples = 0;
   for (Time t = 5_us; t <= until; t += 5_us) {
     s.sim->run_until(t);
     for (const NodeId id : s.topo->switches()) {
       const Switch& sw = s.net->switch_at(id);
       for (PortId p = 0; p < sw.num_ports(); ++p) {
-        for (ClassId c = 0; c < s.net->config().num_classes; ++c) {
+        std::int64_t charged = 0;
+        std::int64_t attributed = sw.shaper_held_bytes(p);
+        for (ClassId c = 0; c < num_classes; ++c) {
           std::int64_t sum = 0;
           for (const FlowSpec& f : s.flows) {
             sum += sw.ingress_flow_bytes(p, c, f.id);
           }
-          ASSERT_EQ(sum, sw.ingress_bytes(p, c))
+          EXPECT_EQ(sum, sw.ingress_bytes(p, c))
               << "switch " << id << " port " << p << " class " << int{c}
               << " at " << t.ps() << " ps";
-          ASSERT_EQ(sw.ingress_flow_bytes(p, c, kAbsent), 0);
+          EXPECT_EQ(sw.ingress_flow_bytes(p, c, kAbsent), 0);
+          if (sum != sw.ingress_bytes(p, c)) return upper_class_samples;
           nonzero_samples += sum > 0 ? 1 : 0;
+          upper_class_samples += sum > 0 && c > 0 ? 1 : 0;
+          charged += sw.ingress_bytes(p, c);
+          for (PortId e = 0; e < sw.num_ports(); ++e) {
+            for (ClassId ec = 0; ec < num_classes; ++ec) {
+              attributed += sw.egress_bytes_from(e, ec, p, c);
+            }
+          }
         }
+        EXPECT_EQ(attributed, charged)
+            << "switch " << id << " ingress port " << p << " at " << t.ps()
+            << " ps";
+        if (attributed != charged) return upper_class_samples;
       }
     }
   }
   EXPECT_GT(nonzero_samples, 100) << "the scenario never held buffer";
+  return upper_class_samples;
 }
 
 TEST(SwitchInternals, FlowOccupancySumsToCounterUnderIngressShaper) {
@@ -228,6 +250,19 @@ TEST(SwitchInternals, FlowOccupancySumsToCounterUnderFlowShaper) {
   scenarios::Scenario s = scenarios::make_four_switch(p);
   s.net->switch_at(s.node("B")).set_flow_shaper(3, Rate::gbps(2), 2000);
   expect_flow_occupancy_sums(s, 2_ms);
+}
+
+TEST(SwitchInternals, AttributionSumsToCounterAcrossClasses) {
+  // The 2-switch routing loop above its boundary, with three TTL-band
+  // classes: packets are re-classed every hop, so egress queues of every
+  // class hold bytes charged to ingress counters of other classes.
+  scenarios::RoutingLoopParams p;
+  p.inject = Rate::gbps(8);
+  p.num_classes = 3;
+  p.ttl_class_band = 6;
+  scenarios::Scenario s = scenarios::make_routing_loop(p);
+  EXPECT_GT(expect_flow_occupancy_sums(s, 2_ms), 100)
+      << "classes above 0 never held buffer";
 }
 
 }  // namespace
