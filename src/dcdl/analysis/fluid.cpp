@@ -1,7 +1,6 @@
 #include "dcdl/analysis/fluid.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "dcdl/common/contract.hpp"
@@ -12,51 +11,56 @@ namespace {
 constexpr double kEpsBytes = 1.0;         // "queue empty" tolerance
 constexpr double kLarge = 1e15;           // "unconstrained" offered rate
 
-// Max-min (water-filling) allocation of `capacity` among users with
-// offered-rate caps. Returns per-user allocations.
-std::vector<double> water_fill(double capacity, const std::vector<double>& caps) {
-  std::vector<double> alloc(caps.size(), 0.0);
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    if (caps[i] > 0) active.push_back(i);
+// Max-min (water-filling) allocation of `capacity` among `n` users with
+// offered-rate caps, into alloc[0, n). `active` is scratch for n indices;
+// the still-active users are compacted in place, keeping their order.
+void water_fill(double capacity, const double* caps, std::size_t n,
+                double* alloc, std::uint32_t* active) {
+  std::size_t na = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    alloc[i] = 0.0;
+    if (caps[i] > 0) active[na++] = static_cast<std::uint32_t>(i);
   }
   double remaining = capacity;
-  while (!active.empty() && remaining > 1e-6) {
-    const double share = remaining / static_cast<double>(active.size());
+  while (na > 0 && remaining > 1e-6) {
+    const double share = remaining / static_cast<double>(na);
     bool any_capped = false;
-    std::vector<std::size_t> still;
-    for (const std::size_t i : active) {
+    std::size_t still = 0;
+    for (std::size_t k = 0; k < na; ++k) {
+      const std::uint32_t i = active[k];
       if (caps[i] - alloc[i] <= share) {
         remaining -= caps[i] - alloc[i];
         alloc[i] = caps[i];
         any_capped = true;
       } else {
-        still.push_back(i);
+        active[still++] = i;
       }
     }
     if (!any_capped) {
-      for (const std::size_t i : still) alloc[i] += share;
+      for (std::size_t k = 0; k < still; ++k) alloc[active[k]] += share;
       remaining = 0;
     }
-    active = std::move(still);
+    na = still;
   }
-  return alloc;
 }
 }  // namespace
 
 int FluidModel::add_queue(FluidQueue q) {
+  DCDL_EXPECTS(!incidence_fixed());
   DCDL_EXPECTS(q.xon_bytes <= q.xoff_bytes);
   queues_.push_back(std::move(q));
   return static_cast<int>(queues_.size()) - 1;
 }
 
 int FluidModel::add_link(FluidLink l) {
+  DCDL_EXPECTS(!incidence_fixed());
   DCDL_EXPECTS(l.capacity.bps() > 0);
   links_.push_back(std::move(l));
   return static_cast<int>(links_.size()) - 1;
 }
 
 int FluidModel::add_flow(FluidFlow f) {
+  DCDL_EXPECTS(!incidence_fixed());
   DCDL_EXPECTS(!f.queues.empty());
   if (f.loop_from >= 0) {
     DCDL_EXPECTS(f.loop_from < static_cast<int>(f.queues.size()));
@@ -69,14 +73,100 @@ int FluidModel::add_flow(FluidFlow f) {
 
 void FluidModel::begin(Time dt) {
   DCDL_EXPECTS(dt > Time::zero());
+  const std::size_t nq = queues_.size();
+  const std::size_t nl = links_.size();
+  const std::size_t nf = flows_.size();
+  const auto link_of = [this](int q) {
+    const int link = queues_.at(static_cast<std::size_t>(q)).upstream_link;
+    DCDL_EXPECTS(link >= 0 && static_cast<std::size_t>(link) < links_.size());
+    return static_cast<std::size_t>(link);
+  };
+
+  // Incidence: hop offsets, then every user tagged with its link in append
+  // order (flow ascending, hop ascending, a loop flow's flux after its
+  // hops); a stable sort by link yields the per-link ranges in that order.
+  Incidence inc;
+  inc.link_Bps.resize(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    inc.link_Bps[l] = static_cast<double>(links_[l].capacity.bps()) / 8.0;
+  }
+  inc.hop_begin.assign(nf + 1, 0);
+  for (std::size_t f = 0; f < nf; ++f) {
+    const FluidFlow& fl = flows_[f];
+    const std::size_t hops = fl.loop_from >= 0
+                                 ? static_cast<std::size_t>(fl.loop_from) + 1
+                                 : fl.queues.size();
+    inc.hop_begin[f + 1] = inc.hop_begin[f] + static_cast<std::uint32_t>(hops);
+  }
+  const std::uint32_t loop_base = inc.hop_begin[nf];
+  std::vector<std::pair<std::size_t, User>> tagged;
+  for (std::size_t f = 0; f < nf; ++f) {
+    const FluidFlow& fl = flows_[f];
+    for (std::uint32_t h = inc.hop_begin[f]; h < inc.hop_begin[f + 1]; ++h) {
+      const std::size_t j = h - inc.hop_begin[f];
+      const std::size_t link = link_of(fl.queues[j]);
+      if (j == 0) {
+        const double cap = fl.demand.is_zero()
+                               ? inc.link_Bps[link]
+                               : static_cast<double>(fl.demand.bps()) / 8.0;
+        tagged.emplace_back(link, User{h, 0, User::kFirst, cap});
+      } else {
+        tagged.emplace_back(
+            link, User{h, static_cast<std::uint32_t>(fl.queues[j - 1]),
+                       User::kHop, 0.0});
+      }
+    }
+    if (fl.loop_from >= 0) {
+      // The circulating flux uses every loop link; register it on the
+      // loop-entry queue's upstream link as the binding constraint
+      // (symmetric loops share one bottleneck).
+      const std::size_t link =
+          link_of(fl.queues[static_cast<std::size_t>(fl.loop_from)]);
+      tagged.emplace_back(link,
+                          User{loop_base + static_cast<std::uint32_t>(f),
+                               static_cast<std::uint32_t>(f), User::kLoop,
+                               0.0});
+    }
+  }
+  std::stable_sort(tagged.begin(), tagged.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  inc.user_begin.assign(nl + 1, 0);
+  for (const auto& [link, user] : tagged) {
+    ++inc.user_begin[link + 1];
+    inc.users.push_back(user);
+  }
+  std::size_t widest = 0;
+  for (std::size_t l = 0; l < nl; ++l) {
+    widest = std::max<std::size_t>(widest, inc.user_begin[l + 1]);
+    inc.user_begin[l + 1] += inc.user_begin[l];
+  }
+  inc_ = std::move(inc);
+
   st_ = State{};
   st_.dt = dt;
   st_.dt_s = dt.sec();
-  st_.occupancy.assign(queues_.size(), 0.0);
-  st_.queue_asserted.assign(queues_.size(), 0);
-  st_.link_paused.assign(links_.size(), 0);
-  st_.loop_fluid.assign(flows_.size(), 0.0);
-  st_.step_delivered.assign(flows_.size(), 0.0);
+  st_.occupancy.assign(nq, 0.0);
+  st_.queue_asserted.assign(nq, 0);
+  st_.link_paused.assign(nl, 0);
+  st_.loop_fluid.assign(nf, 0.0);
+  st_.step_delivered.assign(nf, 0.0);
+  st_.flux.assign(static_cast<std::size_t>(loop_base) + nf, 0.0);
+  st_.caps.assign(inc_.users.size(), 0.0);
+  st_.alloc.assign(widest, 0.0);
+  st_.active.assign(widest, 0);
+  // A queue toggles at most once per step and each toggle stays pending
+  // for ceil(delay / dt) steps: reserve that bound (capped, so a delay
+  // vastly longer than the step grows the heap instead of pre-sizing it).
+  std::int64_t bound = 0;
+  for (std::size_t q = 0; q < nq; ++q) {
+    if (queues_[q].upstream_link < 0) continue;
+    const Time delay =
+        links_[static_cast<std::size_t>(queues_[q].upstream_link)]
+            .control_delay;
+    bound += delay.ps() / dt.ps() + 2;
+  }
+  st_.pending.reserve(
+      static_cast<std::size_t>(std::min<std::int64_t>(bound, 1 << 16)));
 }
 
 double FluidModel::occupancy(int q) const {
@@ -92,6 +182,7 @@ double FluidModel::step_delivered(int f) const {
 }
 
 void FluidModel::step() {
+  DCDL_EXPECTS(incidence_fixed());
   const std::size_t nq = queues_.size();
   const std::size_t nl = links_.size();
   const std::size_t nf = flows_.size();
@@ -99,166 +190,137 @@ void FluidModel::step() {
   std::vector<double>& occupancy = st_.occupancy;
   std::vector<char>& queue_asserted = st_.queue_asserted;
   std::vector<char>& link_paused = st_.link_paused;
-  std::deque<Transition>& pending = st_.pending;
+  std::vector<Transition>& pending = st_.pending;
   std::vector<double>& loop_fluid = st_.loop_fluid;
+  std::vector<double>& flux = st_.flux;
+  const std::uint32_t loop_base = inc_.hop_begin[nf];
   const Time now = st_.now;
-  st_.step_delivered.assign(nf, 0.0);
+  std::fill(st_.step_delivered.begin(), st_.step_delivered.end(), 0.0);
+  // Heap order of `pending`: the earliest due, then the earliest
+  // scheduled, on top.
+  const auto later = [](const Transition& a, const Transition& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  };
 
-  {
-    // 1. Apply due pause/resume transitions.
-    while (!pending.empty() && pending.front().at <= now) {
-      link_paused[static_cast<std::size_t>(pending.front().link)] =
-          pending.front().paused ? 1 : 0;
-      pending.pop_front();
-    }
-
-    // 2. Compute hop rates to a fixpoint (caps propagate downstream; a few
-    //    sweeps suffice for the path lengths we model).
-    std::vector<std::vector<double>> rate(nf);
-    for (std::size_t f = 0; f < nf; ++f) {
-      const int hops = flows_[f].loop_from >= 0 ? flows_[f].loop_from + 1
-                                                : static_cast<int>(
-                                                      flows_[f].queues.size());
-      rate[f].assign(static_cast<std::size_t>(hops), 0.0);
-    }
-    std::vector<double> loop_flux(nf, 0.0);
-
-    for (int sweep = 0; sweep < 6; ++sweep) {
-      // Offered rate (cap) of each hop user, then per-link water-filling.
-      struct User {
-        std::size_t flow;
-        int hop;  // -1 encodes the circulating loop flux
-      };
-      std::vector<std::vector<User>> users(nl);
-      std::vector<std::vector<double>> caps(nl);
-      for (std::size_t f = 0; f < nf; ++f) {
-        const FluidFlow& fl = flows_[f];
-        const std::size_t hops = rate[f].size();
-        for (std::size_t j = 0; j < hops; ++j) {
-          const int link = queues_[static_cast<std::size_t>(fl.queues[j])]
-                               .upstream_link;
-          DCDL_EXPECTS(link >= 0);
-          double cap;
-          if (j == 0) {
-            cap = fl.demand.is_zero()
-                      ? static_cast<double>(
-                            links_[static_cast<std::size_t>(link)]
-                                .capacity.bps()) / 8.0
-                      : static_cast<double>(fl.demand.bps()) / 8.0;
-          } else {
-            const double backlog =
-                occupancy[static_cast<std::size_t>(fl.queues[j - 1])];
-            cap = backlog > kEpsBytes ? kLarge : rate[f][j - 1];
-          }
-          users[static_cast<std::size_t>(link)].push_back(
-              User{f, static_cast<int>(j)});
-          caps[static_cast<std::size_t>(link)].push_back(cap);
-        }
-        if (fl.loop_from >= 0) {
-          // The circulating flux uses every loop link; register it on the
-          // loop-entry queue's upstream link as the binding constraint
-          // (symmetric loops share one bottleneck).
-          const int entry = fl.queues[static_cast<std::size_t>(fl.loop_from)];
-          const int link = queues_[static_cast<std::size_t>(entry)].upstream_link;
-          users[static_cast<std::size_t>(link)].push_back(User{f, -1});
-          caps[static_cast<std::size_t>(link)].push_back(
-              loop_fluid[f] > kEpsBytes ? kLarge : 0.0);
-        }
-      }
-      for (std::size_t l = 0; l < nl; ++l) {
-        if (users[l].empty()) continue;
-        const double capacity_Bps =
-            link_paused[l] ? 0.0
-                           : static_cast<double>(links_[l].capacity.bps()) / 8.0;
-        const std::vector<double> alloc = water_fill(capacity_Bps, caps[l]);
-        for (std::size_t u = 0; u < users[l].size(); ++u) {
-          if (users[l][u].hop < 0) {
-            loop_flux[users[l][u].flow] = alloc[u];
-          } else {
-            rate[users[l][u].flow]
-                [static_cast<std::size_t>(users[l][u].hop)] = alloc[u];
-          }
-        }
-      }
-    }
-
-    // 3. Integrate occupancies.
-    for (std::size_t f = 0; f < nf; ++f) {
-      const FluidFlow& fl = flows_[f];
-      const std::size_t hops = rate[f].size();
-      for (std::size_t j = 0; j < hops; ++j) {
-        const std::size_t q = static_cast<std::size_t>(fl.queues[j]);
-        const double in = rate[f][j];
-        // Outflow of hop j = inflow of hop j+1 (or loop/delivery).
-        double out;
-        if (j + 1 < hops) {
-          out = rate[f][j + 1];
-        } else if (fl.loop_from >= 0) {
-          out = rate[f][j];  // injection hop feeds the loop directly
-        } else {
-          out = occupancy[q] > kEpsBytes
-                    ? std::max(in, rate[f][j])  // uncontended delivery
-                    : in;
-        }
-        if (fl.loop_from >= 0 && static_cast<int>(j) == fl.loop_from) {
-          // Last injection hop: fluid moves into the loop aggregate.
-          loop_fluid[f] += in * dt_s;
-        } else {
-          occupancy[q] += (in - out) * dt_s;
-          if (occupancy[q] < 0) occupancy[q] = 0;
-        }
-        if (fl.loop_from < 0 && j + 1 == hops) {
-          st_.step_delivered[f] += out * dt_s;
-        }
-      }
-      if (fl.loop_from >= 0) {
-        // TTL drain (Eq. 2 in fluid form): every byte-hop on a loop link
-        // burns one TTL unit, and freshly injected fluid circulates too —
-        // at the boundary the entry link saturates at inj + F = B, giving
-        // the drain n*B/TTL of Eq. 1-3.
-        const double circulating =
-            loop_flux[f] + rate[f][static_cast<std::size_t>(fl.loop_from)];
-        const double drain = static_cast<double>(fl.loop_links) *
-                             circulating / static_cast<double>(fl.ttl);
-        loop_fluid[f] -= drain * dt_s;
-        if (loop_fluid[f] < 0) loop_fluid[f] = 0;
-        // The loop fluid sits spread over the loop queues.
-        const std::size_t loop_queues =
-            flows_[f].queues.size() - static_cast<std::size_t>(fl.loop_from);
-        for (std::size_t j = static_cast<std::size_t>(fl.loop_from);
-             j < fl.queues.size(); ++j) {
-          occupancy[static_cast<std::size_t>(fl.queues[j])] =
-              loop_fluid[f] / static_cast<double>(loop_queues);
-        }
-      }
-    }
-
-    // 4. PFC hysteresis: schedule pause/resume after the control delay.
-    for (std::size_t q = 0; q < nq; ++q) {
-      const int link = queues_[q].upstream_link;
-      if (link < 0) continue;
-      const Time delay = links_[static_cast<std::size_t>(link)].control_delay;
-      if (!queue_asserted[q] &&
-          occupancy[q] >= static_cast<double>(queues_[q].xoff_bytes)) {
-        queue_asserted[q] = 1;
-        pending.push_back(Transition{now + delay, link, true});
-      } else if (queue_asserted[q] &&
-                 occupancy[q] < static_cast<double>(queues_[q].xon_bytes)) {
-        queue_asserted[q] = 0;
-        pending.push_back(Transition{now + delay, link, false});
-      }
-    }
-
-    // 5. Freeze ingredients: fluid present but nothing moves anywhere.
-    double total_fluid = 0, total_motion = 0;
-    for (std::size_t q = 0; q < nq; ++q) total_fluid += occupancy[q];
-    for (std::size_t f = 0; f < nf; ++f) {
-      for (const double r : rate[f]) total_motion += r;
-      total_motion += loop_flux[f];
-    }
-    st_.total_fluid = total_fluid;
-    st_.total_motion = total_motion;
+  // 1. Apply due pause/resume transitions, earliest due first.
+  while (!pending.empty() && pending.front().at <= now) {
+    std::pop_heap(pending.begin(), pending.end(), later);
+    link_paused[static_cast<std::size_t>(pending.back().link)] =
+        pending.back().paused ? 1 : 0;
+    pending.pop_back();
   }
+
+  // 2. Compute hop rates to a fixpoint (caps propagate downstream; a few
+  //    sweeps suffice for the path lengths we model). Each sweep's caps
+  //    read the previous sweep's rates; then each link water-fills.
+  std::fill(flux.begin(), flux.end(), 0.0);
+  for (int sweep = 0; sweep < 6; ++sweep) {
+    for (std::size_t u = 0; u < inc_.users.size(); ++u) {
+      const User& us = inc_.users[u];
+      switch (us.kind) {
+        case User::kFirst:
+          st_.caps[u] = us.first_cap;
+          break;
+        case User::kHop:
+          st_.caps[u] = occupancy[us.feed] > kEpsBytes ? kLarge
+                                                       : flux[us.slot - 1];
+          break;
+        case User::kLoop:
+          st_.caps[u] = loop_fluid[us.feed] > kEpsBytes ? kLarge : 0.0;
+          break;
+      }
+    }
+    for (std::size_t l = 0; l < nl; ++l) {
+      const std::uint32_t b = inc_.user_begin[l];
+      const std::uint32_t e = inc_.user_begin[l + 1];
+      if (b == e) continue;
+      water_fill(link_paused[l] ? 0.0 : inc_.link_Bps[l], &st_.caps[b], e - b,
+                 st_.alloc.data(), st_.active.data());
+      for (std::uint32_t u = b; u < e; ++u) {
+        flux[inc_.users[u].slot] = st_.alloc[u - b];
+      }
+    }
+  }
+
+  // 3. Integrate occupancies.
+  for (std::size_t f = 0; f < nf; ++f) {
+    const FluidFlow& fl = flows_[f];
+    const double* rate = &flux[inc_.hop_begin[f]];
+    const std::size_t hops = inc_.hop_begin[f + 1] - inc_.hop_begin[f];
+    for (std::size_t j = 0; j < hops; ++j) {
+      const std::size_t q = static_cast<std::size_t>(fl.queues[j]);
+      const double in = rate[j];
+      // Outflow of hop j = inflow of hop j+1 (or loop/delivery).
+      double out;
+      if (j + 1 < hops) {
+        out = rate[j + 1];
+      } else if (fl.loop_from >= 0) {
+        out = rate[j];  // injection hop feeds the loop directly
+      } else {
+        out = occupancy[q] > kEpsBytes
+                  ? std::max(in, rate[j])  // uncontended delivery
+                  : in;
+      }
+      if (fl.loop_from >= 0 && static_cast<int>(j) == fl.loop_from) {
+        // Last injection hop: fluid moves into the loop aggregate.
+        loop_fluid[f] += in * dt_s;
+      } else {
+        occupancy[q] += (in - out) * dt_s;
+        if (occupancy[q] < 0) occupancy[q] = 0;
+      }
+      if (fl.loop_from < 0 && j + 1 == hops) {
+        st_.step_delivered[f] += out * dt_s;
+      }
+    }
+    if (fl.loop_from >= 0) {
+      // TTL drain (Eq. 2 in fluid form): every byte-hop on a loop link
+      // burns one TTL unit, and freshly injected fluid circulates too —
+      // at the boundary the entry link saturates at inj + F = B, giving
+      // the drain n*B/TTL of Eq. 1-3.
+      const double circulating =
+          flux[loop_base + f] + rate[static_cast<std::size_t>(fl.loop_from)];
+      const double drain = static_cast<double>(fl.loop_links) *
+                           circulating / static_cast<double>(fl.ttl);
+      loop_fluid[f] -= drain * dt_s;
+      if (loop_fluid[f] < 0) loop_fluid[f] = 0;
+      // The loop fluid sits spread over the loop queues.
+      const std::size_t loop_queues =
+          fl.queues.size() - static_cast<std::size_t>(fl.loop_from);
+      for (std::size_t j = static_cast<std::size_t>(fl.loop_from);
+           j < fl.queues.size(); ++j) {
+        occupancy[static_cast<std::size_t>(fl.queues[j])] =
+            loop_fluid[f] / static_cast<double>(loop_queues);
+      }
+    }
+  }
+
+  // 4. PFC hysteresis: schedule pause/resume after the control delay.
+  for (std::size_t q = 0; q < nq; ++q) {
+    const int link = queues_[q].upstream_link;
+    if (link < 0) continue;
+    const bool xoff =
+        !queue_asserted[q] &&
+        occupancy[q] >= static_cast<double>(queues_[q].xoff_bytes);
+    const bool xon = queue_asserted[q] &&
+                     occupancy[q] < static_cast<double>(queues_[q].xon_bytes);
+    if (!xoff && !xon) continue;
+    queue_asserted[q] = xoff ? 1 : 0;
+    const Time delay = links_[static_cast<std::size_t>(link)].control_delay;
+    pending.push_back(Transition{now + delay, st_.next_seq++, link, xoff});
+    std::push_heap(pending.begin(), pending.end(), later);
+  }
+
+  // 5. Freeze ingredients: fluid present but nothing moves anywhere.
+  double total_fluid = 0, total_motion = 0;
+  for (std::size_t q = 0; q < nq; ++q) total_fluid += occupancy[q];
+  for (std::size_t f = 0; f < nf; ++f) {
+    for (std::uint32_t h = inc_.hop_begin[f]; h < inc_.hop_begin[f + 1]; ++h) {
+      total_motion += flux[h];
+    }
+    total_motion += flux[loop_base + f];
+  }
+  st_.total_fluid = total_fluid;
+  st_.total_motion = total_motion;
 
   st_.now = now + st_.dt;
 }

@@ -27,11 +27,16 @@
 // central §3.2 lesson is that such flow-level analysis predicts "no
 // deadlock" for Figure 4 although the packet simulation deadlocks — this
 // model makes that gap measurable (see bench_fluid_model).
+//
+// Cost: begin() fixes the flow -> link incidence (one flat hop-rate array
+// with per-flow offsets, per-link user lists in CSR form) and sizes every
+// scratch buffer, so step() only refills offered rates and water-fills
+// each link — O(sweeps x hops) arithmetic and no heap allocation. Pending
+// pause/resume transitions apply earliest-due first, so links with
+// different control delays interleave correctly.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +93,8 @@ struct FluidResult {
 
 class FluidModel {
  public:
+  /// Building the model. Precondition: begin() has not been called (it
+  /// fixes the incidence the steps run on).
   int add_queue(FluidQueue q);
   int add_link(FluidLink l);
   int add_flow(FluidFlow f);
@@ -102,10 +109,11 @@ class FluidModel {
                   Time dwell = Time{1'000'000'000});
 
   /// Incremental stepping — the hybrid engine's integration mode. begin()
-  /// resets all dynamic state and fixes the step; each step() then
-  /// advances the model by one dt using exactly the per-iteration
-  /// arithmetic of run(). After step() returns, now() is the end of the
-  /// step and the observers below describe the step just taken.
+  /// resets all dynamic state, fixes the step and builds the incidence;
+  /// each step() then advances the model by one dt using exactly the
+  /// per-iteration arithmetic of run(), without allocating. After step()
+  /// returns, now() is the end of the step and the observers below
+  /// describe the step just taken.
   void begin(Time dt);
   void step();
   Time now() const { return st_.now; }
@@ -123,12 +131,40 @@ class FluidModel {
   const std::vector<FluidFlow>& flows() const { return flows_; }
 
  private:
-  /// Dynamic integration state between begin() and the last step().
+  /// One user of a link's capacity: a flow's hop or a loop flow's
+  /// circulating flux. Its offered rate (cap) in each sweep is
+  ///   kFirst: `first_cap` (the demand, or line rate when greedy);
+  ///   kHop:   unlimited while queue `feed` (the previous hop's) holds a
+  ///           backlog, else the previous hop's rate, flux[slot - 1];
+  ///   kLoop:  unlimited while flow `feed` has loop fluid, else zero.
+  struct User {
+    enum Kind : std::uint8_t { kFirst, kHop, kLoop };
+    std::uint32_t slot;  ///< index into State::flux
+    std::uint32_t feed;
+    Kind kind;
+    double first_cap;
+  };
+  /// The flow -> link incidence, fixed by begin(). Flow f's hop rates are
+  /// flux[hop_begin[f] .. hop_begin[f + 1]); a loop flow's circulating
+  /// flux is flux[hop_begin.back() + f]. Link l's users are
+  /// users[user_begin[l] .. user_begin[l + 1]), in the order flow
+  /// ascending, hop ascending, loop flux after the flow's hops.
+  struct Incidence {
+    std::vector<std::uint32_t> hop_begin;
+    std::vector<std::uint32_t> user_begin;
+    std::vector<User> users;
+    std::vector<double> link_Bps;  ///< capacity in bytes/s
+  };
+  /// A pending pause/resume; applied earliest `at` first, ties in
+  /// scheduling (`seq`) order.
   struct Transition {
     Time at;
+    std::uint64_t seq;
     int link;
     bool paused;
   };
+  /// Dynamic integration state between begin() and the last step(), plus
+  /// the step's scratch (sized by begin()).
   struct State {
     Time dt = Time::zero();
     double dt_s = 0;
@@ -136,15 +172,23 @@ class FluidModel {
     std::vector<double> occupancy;
     std::vector<char> queue_asserted;
     std::vector<char> link_paused;
-    std::deque<Transition> pending;
+    std::vector<Transition> pending;  ///< min-heap on (at, seq)
+    std::uint64_t next_seq = 0;
     std::vector<double> loop_fluid;
     std::vector<double> step_delivered;
     double total_fluid = 0, total_motion = 0;
+    std::vector<double> flux;   ///< hop rates, then loop fluxes
+    std::vector<double> caps;   ///< per user, refilled every sweep
+    std::vector<double> alloc;  ///< one link's water-filling result
+    std::vector<std::uint32_t> active;  ///< its still-unfilled users
   };
+
+  bool incidence_fixed() const { return st_.dt > Time::zero(); }
 
   std::vector<FluidQueue> queues_;
   std::vector<FluidLink> links_;
   std::vector<FluidFlow> flows_;
+  Incidence inc_;
   State st_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
 
 #include "dcdl/common/contract.hpp"
@@ -22,29 +21,42 @@ struct FlowPath {
   int ttl_at_loop = 0;               // TTL when first crossing the loop
 };
 
-FlowPath walk_path(const Network& net, const FlowSpec& flow) {
+/// Per-walk scratch over dense channel ids: the walk number that last
+/// crossed each channel and its position in that walk, so one allocation
+/// serves every flow of a call.
+struct WalkScratch {
+  explicit WalkScratch(const Network& net)
+      : stamp(net.channel_count(), 0), index(net.channel_count(), 0) {}
+  std::vector<std::uint32_t> stamp;
+  std::vector<std::uint32_t> index;
+  std::vector<int> ttl_at;  ///< TTL when each channel is first crossed
+  std::uint32_t walk = 0;
+};
+
+FlowPath walk_path(const Network& net, const FlowSpec& flow,
+                   WalkScratch& seen) {
   const Topology& topo = net.topo();
   FlowPath out;
   NodeId cur = flow.src_host;
   PortId out_port = 0;  // hosts transmit on their single port
   int ttl = flow.ttl;
-  std::map<std::pair<NodeId, PortId>, std::size_t> seen;  // channel -> index
-  std::vector<int> ttl_at;  // TTL when each channel is first crossed
+  const std::uint32_t walk = ++seen.walk;
+  seen.ttl_at.clear();
   for (int step = 0; step < 4096; ++step) {
-    const Channel chan{cur, out_port};
-    if (const auto it = seen.find(chan); it != seen.end()) {
+    const PortPeer& pp = topo.peer(cur, out_port);
+    const std::size_t id = net.channel_id(cur, out_port);
+    if (seen.stamp[id] == walk) {
+      const std::uint32_t at = seen.index[id];
       out.looping = true;
-      out.loop.assign(out.channels.begin() +
-                          static_cast<std::ptrdiff_t>(it->second),
-                      out.channels.end());
-      out.ttl_at_loop = ttl_at[it->second];
-      out.channels.resize(it->second);
+      out.loop.assign(out.channels.begin() + at, out.channels.end());
+      out.ttl_at_loop = seen.ttl_at[at];
+      out.channels.resize(at);
       return out;
     }
-    seen[chan] = out.channels.size();
-    out.channels.push_back(chan);
-    ttl_at.push_back(ttl);
-    const PortPeer& pp = topo.peer(cur, out_port);
+    seen.stamp[id] = walk;
+    seen.index[id] = static_cast<std::uint32_t>(out.channels.size());
+    out.channels.emplace_back(cur, out_port);
+    seen.ttl_at.push_back(ttl);
     const NodeId next = pp.peer_node;
     if (!topo.is_switch(next)) return out;  // delivered
     if (topo.is_switch(cur)) {
@@ -63,38 +75,44 @@ double channel_capacity_Bps(const Network& net, const Channel& c) {
   return static_cast<double>(net.link_rate(c.first, c.second).bps()) / 8.0;
 }
 
-// Offered load (bytes/s) per directed channel: fair-share rates on acyclic
-// paths, plus the circulating flux r*TTL/n of looping flows on their loop
-// channels (Eq. 2), capped at line rate.
-std::map<Channel, double> offered_load(const Network& net,
-                                       const std::vector<FlowSpec>& flows,
-                                       const std::vector<Rate>& stable) {
-  std::map<Channel, double> load;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const FlowPath path = walk_path(net, flows[i]);
-    const double r = static_cast<double>(stable[i].bps()) / 8.0;
-    for (const Channel& c : path.channels) load[c] += r;
-    if (path.looping && !path.loop.empty()) {
-      const int ttl = path.ttl_at_loop;
-      const double flux =
-          r * static_cast<double>(ttl) / static_cast<double>(path.loop.size());
-      for (const Channel& c : path.loop) {
-        load[c] += std::min(flux, channel_capacity_Bps(net, c));
-      }
-    }
-  }
-  return load;
+std::uint32_t dense_id(const Network& net, const Channel& c) {
+  return static_cast<std::uint32_t>(net.channel_id(c.first, c.second));
 }
 
-}  // namespace
-
-std::vector<Rate> stable_flow_rates(const Network& net,
-                                    const std::vector<FlowSpec>& flows,
-                                    const std::vector<Rate>& demands) {
-  const std::size_t n = flows.size();
+std::vector<FlowPath> walk_paths(const Network& net,
+                                 const std::vector<FlowSpec>& flows) {
+  WalkScratch seen(net);
   std::vector<FlowPath> paths;
-  paths.reserve(n);
-  for (const FlowSpec& f : flows) paths.push_back(walk_path(net, f));
+  paths.reserve(flows.size());
+  for (const FlowSpec& f : flows) paths.push_back(walk_path(net, f, seen));
+  return paths;
+}
+
+// Max-min fair rates by progressive filling over dense channel ids. Every
+// per-channel sum accumulates its flows in flow order: the rates (and the
+// pinned digests of them) depend on that order bit for bit.
+std::vector<Rate> fill_stable_rates(const Network& net,
+                                    const std::vector<FlowPath>& paths,
+                                    const std::vector<Rate>& demands) {
+  const std::size_t n = paths.size();
+  const std::size_t nc = net.channel_count();
+  // Each flow's acyclic prefix as channel ids, CSR by flow; the channels
+  // any prefix crosses, with their capacities.
+  std::vector<std::uint32_t> begin(n + 1, 0);
+  std::vector<std::uint32_t> chans;
+  std::vector<std::uint32_t> used;
+  std::vector<double> capacity(nc, -1.0);  // negative: no flow crosses it
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const Channel& c : paths[i].channels) {
+      const std::uint32_t id = dense_id(net, c);
+      chans.push_back(id);
+      if (capacity[id] < 0) {
+        capacity[id] = channel_capacity_Bps(net, c);
+        used.push_back(id);
+      }
+    }
+    begin[i + 1] = static_cast<std::uint32_t>(chans.size());
+  }
 
   std::vector<double> rate(n, 0.0);
   std::vector<char> frozen(n, 0);
@@ -116,26 +134,30 @@ std::vector<Rate> stable_flow_rates(const Network& net,
   }
 
   // Progressive filling (classic max-min with demand caps).
+  std::vector<double> frozen_load(nc, 0.0);
+  std::vector<int> unfrozen(nc, 0);
+  std::vector<char> at_bottleneck(nc, 0);
+  const auto share_of = [&](std::uint32_t c) {
+    return std::max(0.0, capacity[c] - frozen_load[c]) / unfrozen[c];
+  };
   while (true) {
-    // Gather channels with unfrozen flows.
-    std::map<Channel, std::pair<double, int>> load;  // frozen load, unfrozen n
+    // Frozen load and unfrozen flow count per channel.
+    for (const std::uint32_t c : used) {
+      frozen_load[c] = 0.0;
+      unfrozen[c] = 0;
+    }
     for (std::size_t i = 0; i < n; ++i) {
-      for (const Channel& c : paths[i].channels) {
-        auto& entry = load[c];
+      for (std::uint32_t k = begin[i]; k < begin[i + 1]; ++k) {
         if (frozen[i]) {
-          entry.first += rate[i];
+          frozen_load[chans[k]] += rate[i];
         } else {
-          entry.second += 1;
+          unfrozen[chans[k]] += 1;
         }
       }
     }
     double bottleneck = std::numeric_limits<double>::infinity();
-    for (const auto& [chan, entry] : load) {
-      if (entry.second == 0) continue;
-      const double share =
-          std::max(0.0, channel_capacity_Bps(net, chan) - entry.first) /
-          entry.second;
-      bottleneck = std::min(bottleneck, share);
+    for (const std::uint32_t c : used) {
+      if (unfrozen[c] != 0) bottleneck = std::min(bottleneck, share_of(c));
     }
     // Demand caps can bind before any channel does.
     double min_demand = std::numeric_limits<double>::infinity();
@@ -159,23 +181,18 @@ std::vector<Rate> stable_flow_rates(const Network& net,
       if (any) continue;
     }
     // Freeze the flows on the bottleneck channel(s) at the bottleneck rate.
+    for (const std::uint32_t c : used) {
+      at_bottleneck[c] = unfrozen[c] != 0 && share_of(c) <= bottleneck + 1e-6;
+    }
     bool froze = false;
-    for (const auto& [chan, entry] : load) {
-      if (entry.second == 0) continue;
-      const double share =
-          std::max(0.0, channel_capacity_Bps(net, chan) - entry.first) /
-          entry.second;
-      if (share <= bottleneck + 1e-6) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (frozen[i]) continue;
-          for (const Channel& c : paths[i].channels) {
-            if (c == chan) {
-              rate[i] = bottleneck;
-              frozen[i] = 1;
-              froze = true;
-              break;
-            }
-          }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (frozen[i]) continue;
+      for (std::uint32_t k = begin[i]; k < begin[i + 1]; ++k) {
+        if (at_bottleneck[chans[k]]) {
+          rate[i] = bottleneck;
+          frozen[i] = 1;
+          froze = true;
+          break;
         }
       }
     }
@@ -194,13 +211,43 @@ std::vector<Rate> stable_flow_rates(const Network& net,
   return out;
 }
 
+// Offered load (bytes/s) per dense channel id: fair-share rates on acyclic
+// paths, plus the circulating flux r*TTL/n of looping flows on their loop
+// channels (Eq. 2), capped at line rate. Zero where no flow crosses.
+std::vector<double> offered_load(const Network& net,
+                                 const std::vector<FlowPath>& paths,
+                                 const std::vector<Rate>& stable) {
+  std::vector<double> load(net.channel_count(), 0.0);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const FlowPath& path = paths[i];
+    const double r = static_cast<double>(stable[i].bps()) / 8.0;
+    for (const Channel& c : path.channels) load[dense_id(net, c)] += r;
+    if (path.looping && !path.loop.empty()) {
+      const int ttl = path.ttl_at_loop;
+      const double flux =
+          r * static_cast<double>(ttl) / static_cast<double>(path.loop.size());
+      for (const Channel& c : path.loop) {
+        load[dense_id(net, c)] += std::min(flux, channel_capacity_Bps(net, c));
+      }
+    }
+  }
+  return load;
+}
+
+}  // namespace
+
+std::vector<Rate> stable_flow_rates(const Network& net,
+                                    const std::vector<FlowSpec>& flows,
+                                    const std::vector<Rate>& demands) {
+  return fill_stable_rates(net, walk_paths(net, flows), demands);
+}
+
 std::vector<std::vector<std::pair<NodeId, PortId>>> flow_channels(
     const Network& net, const std::vector<FlowSpec>& flows) {
   std::vector<std::vector<std::pair<NodeId, PortId>>> out;
   out.reserve(flows.size());
-  for (const FlowSpec& f : flows) {
-    const FlowPath path = walk_path(net, f);
-    std::vector<std::pair<NodeId, PortId>> channels = path.channels;
+  for (FlowPath& path : walk_paths(net, flows)) {
+    std::vector<std::pair<NodeId, PortId>> channels = std::move(path.channels);
     channels.insert(channels.end(), path.loop.begin(), path.loop.end());
     out.push_back(std::move(channels));
   }
@@ -213,12 +260,13 @@ RiskReport assess_deadlock_risk(const Network& net,
   RiskReport report;
   const auto bdg = BufferDependencyGraph::build(net, flows);
   report.cbd_present = bdg.has_cycle();
-  report.stable_rates = stable_flow_rates(net, flows, demands);
+  const std::vector<FlowPath> paths = walk_paths(net, flows);
+  report.stable_rates = fill_stable_rates(net, paths, demands);
   report.looping_flows = bdg.looping_flows();
   if (!report.cbd_present) return report;
 
-  const std::map<Channel, double> load =
-      offered_load(net, flows, report.stable_rates);
+  const std::vector<double> load =
+      offered_load(net, paths, report.stable_rates);
 
   constexpr double kSaturated = 0.95;
   const std::set<FlowId> looping(bdg.looping_flows().begin(),
@@ -233,9 +281,8 @@ RiskReport assess_deadlock_risk(const Network& net,
       const QueueKey& next = cycle[(i + 1) % cycle.size()];
       const PortPeer& pp = net.topo().peer(next.node, next.port);
       const Channel chan{pp.peer_node, pp.peer_port};
-      const double util =
-          std::min(1.0, (load.count(chan) ? load.at(chan) : 0.0) /
-                            channel_capacity_Bps(net, chan));
+      const double util = std::min(
+          1.0, load[dense_id(net, chan)] / channel_capacity_Bps(net, chan));
       risk.link_utilization.push_back(util);
       if (util < kSaturated) risk.slack_links += 1;
       if (util < risk.min_utilization) {
@@ -253,14 +300,18 @@ RiskReport assess_deadlock_risk(const Network& net,
   return report;
 }
 
-std::map<std::pair<NodeId, PortId>, double> channel_utilization(
-    const Network& net, const std::vector<FlowSpec>& flows,
-    const std::vector<Rate>& demands) {
-  const std::vector<Rate> stable = stable_flow_rates(net, flows, demands);
-  const std::map<Channel, double> load = offered_load(net, flows, stable);
-  std::map<Channel, double> util;
-  for (const auto& [chan, bytes_per_s] : load) {
-    util[chan] = bytes_per_s / channel_capacity_Bps(net, chan);
+std::vector<double> channel_utilization(const Network& net,
+                                        const std::vector<FlowSpec>& flows,
+                                        const std::vector<Rate>& stable_rates) {
+  DCDL_EXPECTS(stable_rates.size() == flows.size());
+  std::vector<double> util =
+      offered_load(net, walk_paths(net, flows), stable_rates);
+  const Topology& topo = net.topo();
+  for (NodeId node = 0; node < topo.node_count(); ++node) {
+    for (PortId port = 0; port < topo.degree(node); ++port) {
+      util[net.channel_id(node, port)] /=
+          channel_capacity_Bps(net, Channel{node, port});
+    }
   }
   return util;
 }

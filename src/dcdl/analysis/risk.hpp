@@ -30,10 +30,14 @@
 // paper's "no deadlock despite cyclic dependency"). Sufficiency remains
 // the paper's open problem; this is a falsifiable heuristic, reported
 // honestly against simulation outcomes.
+//
+// Cost: each assessment walks every flow's installed route once for the
+// rate filling and the offered load (the dependency graph walks its own),
+// and both run over dense channel ids (Network::channel_id) — flat
+// per-channel arrays, no ordered map rebuilt per filling round.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -103,14 +107,17 @@ std::vector<Rate> stable_flow_rates(const Network& net,
 std::vector<std::vector<std::pair<NodeId, PortId>>> flow_channels(
     const Network& net, const std::vector<FlowSpec>& flows);
 
-/// Stable-state utilization of every directed channel the flows cross:
-/// offered load (fair-share rates on acyclic paths, circulating loop flux
-/// on loop channels) over capacity. The hybrid engine's fluidization rule
-/// reads this: a flow is only safe to integrate at flow level while every
-/// channel it crosses stays clear of saturation.
-std::map<std::pair<NodeId, PortId>, double> channel_utilization(
-    const Network& net, const std::vector<FlowSpec>& flows,
-    const std::vector<Rate>& demands = {});
+/// Stable-state utilization of every directed channel, indexed by
+/// Network::channel_id: offered load (the given fair-share rates on
+/// acyclic paths, circulating loop flux on loop channels) over capacity;
+/// zero where no flow crosses. `stable_rates` is the RiskReport::
+/// stable_rates of the demands in question (one per flow), so the filling
+/// is not repeated. The hybrid engine's fluidization rule reads this: a
+/// flow is only safe to integrate at flow level while every channel it
+/// crosses stays clear of saturation.
+std::vector<double> channel_utilization(const Network& net,
+                                        const std::vector<FlowSpec>& flows,
+                                        const std::vector<Rate>& stable_rates);
 
 /// Online risk mode (hybrid engine): periodically re-assesses the *live*
 /// network — route tables are re-walked on every call, so loops that form

@@ -87,6 +87,13 @@ class Network {
   Time link_delay(NodeId node, PortId port) const {
     return wire(node, port).delay;
   }
+  /// Dense id of the directed channel out of (node, port): its index in
+  /// the node-major wire table, in [0, channel_count()). Analyses key
+  /// per-channel arrays by it.
+  std::size_t channel_id(NodeId node, PortId port) const {
+    return wire_base_[node] + port;
+  }
+  std::size_t channel_count() const { return wires_.size(); }
 
   /// Sends `pkt` down wire `w` at the sender's time `now`: the peer's
   /// on_receive fires after `ser` (the serialization time the sender

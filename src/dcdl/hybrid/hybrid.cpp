@@ -1,6 +1,7 @@
 #include "dcdl/hybrid/hybrid.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -64,9 +65,14 @@ HybridController::HybridController(Network& net, std::vector<FlowSpec> flows,
   DCDL_EXPECTS(cfg_.fluid_dt > Time::zero());
   DCDL_EXPECTS(cfg_.zoom_xoff_fraction > 0.0);
   region_.assign(static_cast<std::size_t>(regions_.num_shards), Region{});
+  switches_ = net_.topo().switches();
   eligible_.assign(flows_.size(), 0);
+  blocked_.assign(flows_.size(), 0);
   fluid_.assign(flows_.size(), 0);
   carry_.assign(flows_.size(), 0.0);
+  want_.assign(flows_.size(), 0);
+  packet_link_.assign(net_.topo().link_count(), 0);
+  region_occ_.assign(region_.size(), 0);
   prev_sent_.assign(flows_.size(), 0);
   prev_measure_at_ = net_.sim().now();
   last_step_ = net_.sim().now();
@@ -86,7 +92,7 @@ HybridController::HybridController(Network& net, std::vector<FlowSpec> flows,
   const std::vector<Rate> demands = pacer_rates();
   assessor_.reassess(demands);
   ++stats_.risk_reassessments;
-  utilization_ = analysis::channel_utilization(net_, flows_, demands);
+  update_blocked();
   apply_pins();
   refluidize(net_.sim().now());
   schedule_next();
@@ -133,19 +139,26 @@ std::vector<Rate> HybridController::pacer_rates() const {
 
 void HybridController::refresh_geometry() {
   channels_ = analysis::flow_channels(net_, flows_);
-  path_links_.assign(flows_.size(), {});
-  path_regions_.assign(flows_.size(), {});
+  path_links_.resize(flows_.size());
+  path_regions_.resize(flows_.size());
   const Topology& topo = net_.topo();
+  const auto sort_unique = [](auto& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    std::set<std::uint32_t> links;
-    std::set<int> regs;
+    std::vector<std::uint32_t>& links = path_links_[i];
+    std::vector<int>& regs = path_regions_[i];
+    links.clear();
+    regs.clear();
     for (const auto& [node, port] : channels_[i]) {
-      links.insert(topo.peer(node, port).link);
-      regs.insert(region_of(node));
-      regs.insert(region_of(topo.peer(node, port).peer_node));
+      const PortPeer& pp = topo.peer(node, port);
+      links.push_back(pp.link);
+      regs.push_back(region_of(node));
+      regs.push_back(region_of(pp.peer_node));
     }
-    path_links_[i].assign(links.begin(), links.end());
-    path_regions_[i].assign(regs.begin(), regs.end());
+    sort_unique(links);
+    sort_unique(regs);
   }
 }
 
@@ -183,8 +196,9 @@ void HybridController::apply_pins() {
 void HybridController::scan_regions(Time now) {
   // Per-region peak ingress occupancy: the live packet counters plus the
   // fluid queues mapped back to their switches' regions.
-  std::vector<std::int64_t> occ(region_.size(), 0);
-  for (const NodeId sw : net_.topo().switches()) {
+  std::vector<std::int64_t>& occ = region_occ_;
+  std::fill(occ.begin(), occ.end(), 0);
+  for (const NodeId sw : switches_) {
     const auto r = static_cast<std::size_t>(region_of(sw));
     occ[r] = std::max(occ[r], net_.switch_at(sw).max_ingress_bytes());
   }
@@ -221,40 +235,35 @@ void HybridController::scan_regions(Time now) {
   }
 }
 
-void HybridController::refluidize(Time now) {
-  // Desired fluid set under the current risk report, region levels, and
-  // utilization snapshot.
+void HybridController::update_blocked() {
   const analysis::RiskReport& rep = assessor_.report();
+  const std::vector<double> utilization =
+      analysis::channel_utilization(net_, flows_, rep.stable_rates);
   const std::set<FlowId> looping(rep.looping_flows.begin(),
                                  rep.looping_flows.end());
   const Topology& topo = net_.topo();
-  std::vector<char> want(flows_.size(), 0);
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (eligible_[i] == 0) continue;
-    if (looping.count(flows_[i].id) > 0) continue;
     const auto& ch = channels_[i];
     // The installed route must actually reach the destination (last egress
     // lands on dst); misrouted or blackholed flows stay packet.
-    if (ch.size() < 2 ||
-        topo.peer(ch.back().first, ch.back().second).peer_node !=
-            flows_[i].dst_host) {
-      continue;
+    bool blocked = looping.count(flows_[i].id) > 0 || ch.size() < 2 ||
+                   topo.peer(ch.back().first, ch.back().second).peer_node !=
+                       flows_[i].dst_host;
+    for (std::size_t j = 0; !blocked && j < ch.size(); ++j) {
+      blocked = utilization[net_.channel_id(ch[j].first, ch[j].second)] >=
+                cfg_.saturation;
     }
-    bool ok = true;
-    for (const int r : path_regions_[i]) {
-      if (region_[static_cast<std::size_t>(r)].packet) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      for (const auto& c : ch) {
-        const auto it = utilization_.find(c);
-        if (it != utilization_.end() && it->second >= cfg_.saturation) {
-          ok = false;
-          break;
-        }
-      }
+    blocked_[i] = blocked ? 1 : 0;
+  }
+}
+
+void HybridController::refluidize(Time now) {
+  // Desired fluid set under the current blocked flags and region levels.
+  std::vector<char>& want = want_;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    bool ok = eligible_[i] != 0 && blocked_[i] == 0;
+    for (std::size_t k = 0; ok && k < path_regions_[i].size(); ++k) {
+      ok = !region_[static_cast<std::size_t>(path_regions_[i][k])].packet;
     }
     want[i] = ok ? 1 : 0;
   }
@@ -263,15 +272,15 @@ void HybridController::refluidize(Time now) {
   bool changed = true;
   while (changed) {
     changed = false;
-    std::vector<char> packet_link(topo.link_count(), 0);
+    std::fill(packet_link_.begin(), packet_link_.end(), 0);
     for (std::size_t i = 0; i < flows_.size(); ++i) {
       if (want[i] != 0) continue;
-      for (const std::uint32_t l : path_links_[i]) packet_link[l] = 1;
+      for (const std::uint32_t l : path_links_[i]) packet_link_[l] = 1;
     }
     for (std::size_t i = 0; i < flows_.size(); ++i) {
       if (want[i] == 0) continue;
       for (const std::uint32_t l : path_links_[i]) {
-        if (packet_link[l] != 0) {
+        if (packet_link_[l] != 0) {
           want[i] = 0;
           changed = true;
           break;
@@ -280,14 +289,7 @@ void HybridController::refluidize(Time now) {
     }
   }
 
-  bool dirty = false;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (want[i] != fluid_[i]) {
-      dirty = true;
-      break;
-    }
-  }
-  if (!dirty) return;
+  if (want == fluid_) return;
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     if (want[i] == fluid_[i]) continue;
     net_.host_at(flows_[i].src_host)
@@ -457,7 +459,7 @@ void HybridController::step() {
     const std::vector<Rate> measured = measured_rates(now);
     assessor_.reassess(measured);
     ++stats_.risk_reassessments;
-    utilization_ = analysis::channel_utilization(net_, flows_, measured);
+    update_blocked();
     apply_pins();
   }
 

@@ -24,7 +24,8 @@
 //      controlled, or windowed flows stay packet),
 //   3. it runs for the whole simulation (start == 0, stop == inf),
 //   4. every channel it crosses sits below the saturation threshold under
-//      stable-state analysis (risk.hpp's channel_utilization),
+//      stable-state analysis (risk.hpp's channel_utilization, over the
+//      stable rates of the same assessment),
 //   5. its path is link-disjoint from every packet-level flow (computed to
 //      a fixpoint, so de-fluidizing one flow cascades), and
 //   6. every region it crosses is at fluid level.
@@ -43,10 +44,17 @@
 // runs as control-simulator events (these fire at window barriers where
 // devices are frozen), so escalation decisions — and with
 // them every observable byte — are identical across --jobs and --shards.
+//
+// Cost of one controller step: each fluid component's allocation-free
+// FluidModel::step, the per-region occupancy scan, and the fluid-set
+// check, which reads per-flow blocked flags (rules 1 and 4 plus a route
+// that misses its destination) derived only at construction and at each
+// reassessment. Between reassessments a step allocates nothing unless the
+// fluid set changes; every risk_every-th step in risk mode adds one
+// assessment (dependency graph + one stable-rate filling).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -166,7 +174,10 @@ class HybridController {
   /// Occupancy scan over all regions (packet counters + fluid queues);
   /// applies the escalation / cooldown state machine.
   void scan_regions(Time now);
-  /// Recomputes the fluidizable set (per-flow eligibility, saturation,
+  /// Re-derives the per-flow blocked_ flags from the risk report (looping
+  /// flows, stable-rate channel utilization) and the current geometry.
+  void update_blocked();
+  /// Recomputes the fluidizable set (static eligibility, blocked flags,
   /// region levels, link-disjointness fixpoint), holds/releases flows, and
   /// rebuilds the fluid components for the new set.
   void refluidize(Time now);
@@ -179,7 +190,7 @@ class HybridController {
   topo::ShardPlan regions_;
   std::vector<Region> region_;
   analysis::OnlineRiskAssessor assessor_;
-  std::map<std::pair<NodeId, PortId>, double> utilization_;
+  std::vector<NodeId> switches_;  ///< the topology's switches, for the scan
 
   /// Per-flow path geometry (parallel to flows_), fixed at construction
   /// from the installed routes; refreshed on reassess in risk mode.
@@ -187,8 +198,16 @@ class HybridController {
   std::vector<std::vector<std::uint32_t>> path_links_;
   std::vector<std::vector<int>> path_regions_;
   std::vector<char> eligible_;  ///< static per-flow checks (pacer, window)
+  /// Looping, misrouted, or crossing a channel at >= saturation; fixed
+  /// between assessments.
+  std::vector<char> blocked_;
   std::vector<char> fluid_;     ///< currently integrated at fluid level
   std::vector<double> carry_;   ///< fractional delivered bytes per flow
+  /// Per-step scratch: refluidize's candidate set and packet-held links,
+  /// scan_regions' per-region peak occupancy.
+  std::vector<char> want_;
+  std::vector<char> packet_link_;
+  std::vector<std::int64_t> region_occ_;
 
   std::vector<FluidInstance> models_;
 

@@ -3,6 +3,10 @@
 // shares) and pinned to its known blind spot (Figure 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "dcdl/analysis/boundary.hpp"
 #include "dcdl/analysis/fluid.hpp"
 #include "dcdl/scenarios/scenario.hpp"
@@ -166,6 +170,132 @@ TEST(Fluid, DemandLimitedFlowDeliversItsDemand) {
   m.add_flow(f);
   const FluidResult r = m.run(5_ms);
   EXPECT_NEAR(r.mean_goodput_bps[0] / 1e9, 7.0, 0.3);
+}
+
+// ---------------------------------------------------------------------------
+// Step-level pins: every double the incremental integration exposes, after
+// every step, folded into one FNV-1a digest per model. Any change to the
+// order of the water-filling arithmetic moves these.
+
+/// Order-sensitive FNV-1a over the raw bits of every occupancy,
+/// step_delivered, total_fluid and total_motion after each of `steps`
+/// steps at 100 ns.
+std::uint64_t step_digest(FluidModel& m, int steps) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  m.begin(Time{100'000});
+  for (int s = 0; s < steps; ++s) {
+    m.step();
+    for (std::size_t q = 0; q < m.queues().size(); ++q) {
+      mix(m.occupancy(static_cast<int>(q)));
+    }
+    for (std::size_t f = 0; f < m.flows().size(); ++f) {
+      mix(m.step_delivered(static_cast<int>(f)));
+    }
+    mix(m.total_fluid());
+    mix(m.total_motion());
+  }
+  return h;
+}
+
+/// Two disconnected components in one model, their queues and links added
+/// interleaved: a 25 Gbps bottleneck shared by a greedy and a 15 Gbps flow
+/// (PFC sawtooth on both feeder queues), and a 10 Gbps access link feeding
+/// a link that an 8 Gbps flow shares with a greedy one-hop flow.
+FluidModel make_two_component_model() {
+  FluidModel m;
+  const int a0 = m.add_link(FluidLink{"a0", Rate::gbps(40), 1_us});
+  const int b0 = m.add_link(FluidLink{"b0", Rate::gbps(10), 1_us});
+  const int a1 = m.add_link(FluidLink{"a1", Rate::gbps(40), 1_us});
+  const int b1 = m.add_link(FluidLink{"b1", Rate::gbps(40), 1_us});
+  const int a2 = m.add_link(FluidLink{"a2", Rate::gbps(25), 1_us});
+  const int qb0 = m.add_queue(FluidQueue{"qb0", 40 * 1024, 38 * 1024, b0});
+  const int qa0 = m.add_queue(FluidQueue{"qa0", 40 * 1024, 38 * 1024, a0});
+  const int qa2 = m.add_queue(FluidQueue{"qa2", 30 * 1024, 28 * 1024, a2});
+  const int qb1 = m.add_queue(FluidQueue{"qb1", 40 * 1024, 38 * 1024, b1});
+  const int qa1 = m.add_queue(FluidQueue{"qa1", 40 * 1024, 38 * 1024, a1});
+  FluidFlow g;
+  g.queues = {qa0, qa2};
+  m.add_flow(g);
+  FluidFlow b;
+  b.demand = Rate::gbps(8);
+  b.queues = {qb0, qb1};
+  m.add_flow(b);
+  FluidFlow c;
+  c.demand = Rate::gbps(15);
+  c.queues = {qa1, qa2};
+  m.add_flow(c);
+  FluidFlow d;
+  d.queues = {qb1};
+  m.add_flow(d);
+  return m;
+}
+
+TEST(FluidStep, DigestsPinned) {
+  FluidModel loop =
+      make_fluid_routing_loop(3, Rate::gbps(40), 16, Rate::gbps(8));
+  EXPECT_EQ(step_digest(loop, 4000), 4916726843116689101ULL);
+  FluidFourSwitch fs = make_fluid_four_switch(true, Rate::gbps(40));
+  EXPECT_EQ(step_digest(fs.model, 4000), 9643904165984049577ULL);
+  FluidModel two = make_two_component_model();
+  EXPECT_EQ(step_digest(two, 4000), 2721376591171368458ULL);
+}
+
+TEST(FluidStep, TransitionsApplyInDueOrder) {
+  // Two independent flows, each 40 Gbps into a 40 KiB-Xoff queue and then
+  // a 10 Gbps bottleneck; the feeder links differ only in control delay
+  // (5 us for a, 1 us for b). Both queues cross Xoff at 11 us, a first:
+  // b's pause is due at 12 us and must not wait behind a's, due at 16 us.
+  FluidModel m;
+  const int la = m.add_link(FluidLink{"a.in", Rate::gbps(40), 5_us});
+  const int la_bn = m.add_link(FluidLink{"a.bn", Rate::gbps(10), 5_us});
+  const int lb = m.add_link(FluidLink{"b.in", Rate::gbps(40), 1_us});
+  const int lb_bn = m.add_link(FluidLink{"b.bn", Rate::gbps(10), 1_us});
+  const int qa = m.add_queue(FluidQueue{"qa", 40 * 1024, 38 * 1024, la});
+  const int qb = m.add_queue(FluidQueue{"qb", 40 * 1024, 38 * 1024, lb});
+  FluidFlow fa;
+  fa.queues = {qa, m.add_queue(FluidQueue{"qa.out", 40 * 1024, 38 * 1024,
+                                          la_bn})};
+  m.add_flow(fa);
+  FluidFlow fb;
+  fb.queues = {qb, m.add_queue(FluidQueue{"qb.out", 40 * 1024, 38 * 1024,
+                                          lb_bn})};
+  m.add_flow(fb);
+
+  m.begin(100_ns);
+  double peak_b = 0, a_at_16us = 0, b_at_12us = 0, b_at_16us = 0;
+  while (m.now() < 20_us) {
+    m.step();
+    peak_b = std::max(peak_b, m.occupancy(qb));
+    if (m.now() == 12_us) b_at_12us = m.occupancy(qb);
+    if (m.now() == 16_us) {
+      a_at_16us = m.occupancy(qa);
+      b_at_16us = m.occupancy(qb);
+    }
+  }
+  // a's link stops at 16 us; b's at 12 us, after which b drains at the
+  // bottleneck rate while a keeps filling.
+  EXPECT_NEAR(a_at_16us, 59'500, 1);
+  EXPECT_NEAR(b_at_12us, 44'500, 1);
+  EXPECT_LT(peak_b, 45'000);
+  EXPECT_NEAR(b_at_16us, 39'500, 1);
+}
+
+TEST(FluidStep, AddingAfterBeginIsAPreconditionFailure) {
+  // begin() fixes the flow -> link incidence the steps run on.
+  FluidModel m = make_fluid_routing_loop(2, Rate::gbps(40), 16, Rate::gbps(4));
+  m.begin(100_ns);
+  EXPECT_DEATH(m.add_link(FluidLink{}), "precondition.*incidence_fixed");
+  EXPECT_DEATH(m.add_queue(FluidQueue{}), "precondition.*incidence_fixed");
+  FluidFlow f;
+  f.queues = {0};
+  EXPECT_DEATH(m.add_flow(f), "precondition.*incidence_fixed");
 }
 
 }  // namespace

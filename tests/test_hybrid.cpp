@@ -11,6 +11,8 @@
 // bytes the packet level would.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,6 +25,7 @@
 #include "dcdl/hybrid/hybrid.hpp"
 #include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
+#include "dcdl/sim/sharded.hpp"
 #include "dcdl/topo/generators.hpp"
 #include "dcdl/traffic/flow.hpp"
 
@@ -319,6 +322,103 @@ TEST(HybridZoom, LocalizedIncastEscalatesOnlyTheHotPod) {
   for (const FlowSpec& f : flows) fluid += ctl.flow_fluid(f.id) ? 1 : 0;
   EXPECT_EQ(fluid, 12u);
   EXPECT_GT(ctl.stats().fluid_fraction, 0.5);
+}
+
+// ---------------------------------------------------------------------------
+// The fluid path under the sharded engine: the controller's steps run at
+// window barriers, so fluid integration, credits and zoom decisions must
+// not depend on the shard count. Both fabrics fluidize most flows.
+
+struct FluidPathOutcome {
+  std::uint64_t digest = 0;
+  double fluid_fraction = 0;
+  std::uint64_t credited_packets = 0;
+};
+
+/// k-ary fat-tree at `shards` shards: pod 0's hosts send greedy to host 0
+/// (packet forever), every other pod runs host i -> host (i + k/2) of the
+/// pod through a token bucket (4 Gbps for the pod's first host, 5 Gbps for
+/// the rest). The digest folds each flow's delivered bytes, then credited
+/// packets, the fluid fraction's bits and the zoom event count.
+FluidPathOutcome localized_fluid_path(int k, int shards, Time run_for) {
+  Simulator sim;
+  const topo::FatTreeTopo ft = topo::make_fat_tree(k);
+  std::optional<ScopedShardRequest> req{std::in_place, shards};
+  Network net(sim, ft.topo, NetConfig{});
+  req.reset();
+  routing::install_shortest_paths(net);
+  const int half = k / 2;
+  const int hp = half * half;
+  std::vector<FlowSpec> flows;
+  FlowId id = 1;
+  for (int i = 1; i < hp; ++i) {
+    FlowSpec f;
+    f.id = id++;
+    f.src_host = ft.all_hosts[static_cast<std::size_t>(i)];
+    f.dst_host = ft.all_hosts[0];
+    f.packet_bytes = 1000;
+    net.host_at(f.src_host).add_flow(f);
+    flows.push_back(f);
+  }
+  for (int pod = 1; pod < k; ++pod) {
+    for (int i = 0; i < hp; ++i) {
+      FlowSpec f;
+      f.id = id++;
+      f.src_host = ft.all_hosts[static_cast<std::size_t>(pod * hp + i)];
+      f.dst_host = ft.all_hosts[static_cast<std::size_t>(
+          pod * hp + (i + half) % hp)];
+      f.packet_bytes = 1000;
+      net.host_at(f.src_host).add_flow(
+          f, std::make_unique<TokenBucketPacer>(Rate::gbps(i == 0 ? 4 : 5),
+                                                2 * f.packet_bytes));
+      flows.push_back(f);
+    }
+  }
+  hybrid::HybridConfig hc;
+  hc.mode = hybrid::Mode::kRisk;
+  hybrid::HybridController ctl(net, flows, hc);
+  sim.run_until(run_for);
+  ctl.finalize();
+
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const FlowSpec& f : flows) {
+    mix(static_cast<std::uint64_t>(
+        net.host_at(f.dst_host).delivered_bytes(f.id)));
+  }
+  const hybrid::HybridStats& st = ctl.stats();
+  mix(st.credited_packets);
+  mix(std::bit_cast<std::uint64_t>(st.fluid_fraction));
+  mix(st.zoom_events);
+  return {h, st.fluid_fraction, st.credited_packets};
+}
+
+TEST(HybridShards, FluidPathDigestPinnedAcrossShardCounts) {
+  struct Case {
+    int k;
+    Time run_for;
+    std::uint64_t digest;
+    double fluid_fraction;
+    std::uint64_t credited_packets;
+  };
+  // Literals recorded at one shard; every shard count must reproduce them.
+  for (const Case& c : {Case{4, 3_ms, 7365026153206274021ULL, 0.8, 21'375u},
+                        Case{8, 2_ms, 2131996070562297185ULL, 0.881889764,
+                             138'250u}}) {
+    for (const int shards : {1, 2, 4}) {
+      SCOPED_TRACE("k=" + std::to_string(c.k) + " shards=" +
+                   std::to_string(shards));
+      const FluidPathOutcome o = localized_fluid_path(c.k, shards, c.run_for);
+      EXPECT_EQ(o.digest, c.digest);
+      EXPECT_NEAR(o.fluid_fraction, c.fluid_fraction, 5e-10);
+      EXPECT_EQ(o.credited_packets, c.credited_packets);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

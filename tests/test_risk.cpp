@@ -3,8 +3,14 @@
 // (cycle, util 1.0, deadlocks) and reduce to the boundary model on loops.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dcdl/analysis/risk.hpp"
+#include "dcdl/device/switch.hpp"
+#include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
+#include "dcdl/topo/generators.hpp"
 
 namespace dcdl::analysis {
 namespace {
@@ -162,6 +168,91 @@ TEST(Risk, PredictionsMatchSimulationOutcomes) {
     EXPECT_TRUE(reachable);
     EXPECT_TRUE(deadlocked);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exact pins of the stable-state analysis on a realistic fabric: every
+// stable rate in bps and the bits of every nonzero channel utilization.
+
+/// Order-sensitive FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ULL;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+TEST(StableRates, FatTreeRatesAndUtilizationPinned) {
+  // k=8 fat-tree on ECMP shortest paths; 96 flows with demands cycling
+  // through greedy and 1..12 Gbps, plus a flow caught in a two-switch
+  // edge<->agg loop and a flow blackholed at its edge switch.
+  Simulator sim;
+  const topo::FatTreeTopo ft = topo::make_fat_tree(8);
+  Network net(sim, ft.topo, NetConfig{});
+  routing::install_shortest_paths(net);
+  const std::size_t n = ft.all_hosts.size();
+  const NodeId loop_dst = ft.all_hosts[n - 1];
+  const NodeId hole_dst = ft.all_hosts[n - 2];
+  std::vector<FlowSpec> flows;
+  std::vector<Rate> demands;
+  for (std::size_t i = 0; i < 96; ++i) {
+    std::size_t dst = (i * 37 + 11) % n;
+    if (dst == i || dst >= n - 2) dst = (dst + 5) % (n - 2);
+    FlowSpec f;
+    f.id = static_cast<FlowId>(i + 1);
+    f.src_host = ft.all_hosts[i];
+    f.dst_host = ft.all_hosts[dst];
+    flows.push_back(f);
+    demands.push_back(i % 3 == 0 ? Rate::zero()
+                                 : Rate::gbps(static_cast<double>(1 + i % 12)));
+  }
+  FlowSpec looper;
+  looper.id = 97;
+  looper.src_host = ft.all_hosts[1];
+  looper.dst_host = loop_dst;
+  looper.ttl = 16;
+  flows.push_back(looper);
+  demands.push_back(Rate::gbps(6));
+  routing::install_loop_route(net, loop_dst, {ft.edge[0][0], ft.agg[0][0]});
+  FlowSpec holed;
+  holed.id = 98;
+  holed.src_host = ft.all_hosts[2];
+  holed.dst_host = hole_dst;
+  flows.push_back(holed);
+  demands.push_back(Rate::zero());
+  net.switch_at(ft.edge[0][0]).routes().clear_dst_route(hole_dst);
+
+  const std::vector<Rate> rates = stable_flow_rates(net, flows, demands);
+  const RiskReport report = assess_deadlock_risk(net, flows, demands);
+  ASSERT_EQ(report.stable_rates, rates);
+  EXPECT_TRUE(report.cbd_present);
+  EXPECT_EQ(report.looping_flows, std::vector<FlowId>{97});
+  EXPECT_EQ(flow_channels(net, {holed})[0].size(), 1u);
+  Fnv rd;
+  for (const Rate r : rates) rd.mix(static_cast<std::uint64_t>(r.bps()));
+  EXPECT_EQ(rd.h, 16797723390366985624ULL);
+
+  // Utilization of the same demands, from the report's stable rates.
+  const std::vector<double> util =
+      channel_utilization(net, flows, report.stable_rates);
+  ASSERT_EQ(util.size(), net.channel_count());
+  Fnv ud;
+  std::size_t nonzero = 0;
+  for (NodeId node = 0; node < ft.topo.node_count(); ++node) {
+    for (PortId port = 0; port < ft.topo.degree(node); ++port) {
+      const double u = util[net.channel_id(node, port)];
+      if (u == 0.0) continue;
+      ++nonzero;
+      ud.mix(node);
+      ud.mix(port);
+      ud.mix(std::bit_cast<std::uint64_t>(u));
+    }
+  }
+  EXPECT_EQ(nonzero, 443u);
+  EXPECT_EQ(ud.h, 15914452979974475609ULL);
 }
 
 }  // namespace

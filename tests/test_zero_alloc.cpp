@@ -13,12 +13,17 @@
 // between.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
+#include "dcdl/analysis/fluid.hpp"
+#include "dcdl/device/host.hpp"
+#include "dcdl/hybrid/hybrid.hpp"
 #include "dcdl/routing/compute.hpp"
 #include "dcdl/scenarios/scenario.hpp"
 #include "dcdl/telemetry/metrics.hpp"
@@ -48,8 +53,24 @@ void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
 
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// every allocation is counted, and each one is released by the matching
+// free below even where a sanitizer intercepts the default forms.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
@@ -188,6 +209,99 @@ TEST(ZeroAlloc, EventChurnSteadyStateAllocatesNothing) {
 
   ASSERT_GE(churn.fired, 100'000u);
   EXPECT_EQ(allocs, 0u);
+}
+
+/// Counts the heap allocations and pause/resume toggles of the first
+/// `steps` steps after begin().
+struct FluidWindow {
+  std::uint64_t allocs = 0;
+  std::uint64_t toggles = 0;
+};
+FluidWindow fluid_window(analysis::FluidModel& m, int steps) {
+  m.begin(100_ns);
+  const int nq = static_cast<int>(m.queues().size());
+  std::array<bool, 16> asserted{};  // fixed size: no allocation in the window
+  EXPECT_LE(nq, 16);
+  FluidWindow w;
+  const std::uint64_t allocs_before =
+      g_allocs.load(std::memory_order_relaxed);
+  for (int s = 0; s < steps; ++s) {
+    m.step();
+    for (int q = 0; q < nq && q < 16; ++q) {
+      const bool on = m.queue_asserted(q);
+      w.toggles += on != asserted[static_cast<std::size_t>(q)] ? 1 : 0;
+      asserted[static_cast<std::size_t>(q)] = on;
+    }
+  }
+  w.allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  return w;
+}
+
+TEST(ZeroAlloc, FluidStepAllocatesNothing) {
+  // begin() sizes the incidence and every scratch buffer; step() then only
+  // refills caps and water-fills, including across PFC transitions.
+  analysis::FluidModel loop = analysis::make_fluid_routing_loop(
+      3, Rate::gbps(40), 16, Rate::gbps(8));
+  const FluidWindow lw = fluid_window(loop, 20'000);
+  EXPECT_GT(lw.toggles, 0u) << "no PFC transition; the window is vacuous";
+  EXPECT_EQ(lw.allocs, 0u);
+
+  analysis::FluidFourSwitch fs =
+      analysis::make_fluid_four_switch(true, Rate::gbps(40));
+  const FluidWindow fw = fluid_window(fs.model, 2'000);
+  EXPECT_GT(fw.toggles, 10u) << "no PFC sawtooth; the window is vacuous";
+  EXPECT_EQ(fw.allocs, 0u);
+}
+
+TEST(ZeroAlloc, HybridStepsBetweenReassessmentsAllocateNothing) {
+  // The all-fluid k=4 fabric of HybridZoom.SteadyFabricFluidizes...: every
+  // pod runs an intra-pod 4 Gbps CBR permutation. Between two risk
+  // reassessments each controller step advances the fluid components,
+  // credits deliveries, scans the regions and re-checks the fluid set —
+  // all on storage sized at construction.
+  Simulator sim;
+  const topo::FatTreeTopo ft = topo::make_fat_tree(4);
+  Network net(sim, ft.topo, NetConfig{});
+  routing::install_shortest_paths(net);
+  std::vector<FlowSpec> flows;
+  FlowId id = 1;
+  for (int pod = 0; pod < 4; ++pod) {
+    for (int i = 0; i < 4; ++i) {
+      FlowSpec f;
+      f.id = id++;
+      f.src_host = ft.all_hosts[static_cast<std::size_t>(pod * 4 + i)];
+      f.dst_host =
+          ft.all_hosts[static_cast<std::size_t>(pod * 4 + (i + 2) % 4)];
+      f.packet_bytes = 1000;
+      net.host_at(f.src_host).add_flow(
+          f, std::make_unique<TokenBucketPacer>(Rate::gbps(4),
+                                                2 * f.packet_bytes));
+      flows.push_back(f);
+    }
+  }
+  hybrid::HybridConfig hc;
+  hc.mode = hybrid::Mode::kRisk;
+  hybrid::HybridController ctl(net, flows, hc);
+
+  // Warm-up through the 10th step's reassessment (t = 1 ms).
+  sim.run_until(Time{1'050'000'000});
+  const std::uint64_t steps_before = ctl.stats().steps;
+  const std::uint64_t reassess_before = ctl.stats().risk_reassessments;
+  const std::uint64_t credited_before = ctl.stats().credited_packets;
+  const std::uint64_t allocs_before =
+      g_allocs.load(std::memory_order_relaxed);
+  sim.run_until(Time{1'950'000'000});  // steps 11..19
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+
+  EXPECT_EQ(ctl.stats().steps - steps_before, 9u);
+  EXPECT_EQ(ctl.stats().risk_reassessments, reassess_before)
+      << "the window must lie between two reassessments";
+  EXPECT_EQ(ctl.fluid_flows(), flows.size());
+  EXPECT_GT(ctl.stats().credited_packets, credited_before)
+      << "no fluid delivery in the window; the measurement is vacuous";
+  EXPECT_EQ(allocs, 0u) << "controller steps leaked heap allocations";
+  ctl.finalize();
 }
 
 }  // namespace

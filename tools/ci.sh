@@ -81,13 +81,16 @@ if [ "$perf" = 1 ]; then
   # Hybrid-engine equivalence leg: the fluid/packet zoom must perturb
   # neither verdicts nor determinism. The gtest byte-identity suite runs
   # under TSan (the controller's step events replay through the window
-  # barrier), then a routing-loop sweep with the zoom on must be
-  # byte-identical across --jobs x --shards, and its core verdict columns
-  # (through pause_assertions — event counts legitimately differ, the
-  # controller schedules its own steps) must match the same sweep with the
-  # zoom off.
+  # barrier): HybridExecutor.* sweeps routing_loop, where nothing
+  # fluidizes, and HybridShards.* pins fluid integration, credits and zoom
+  # on k=4/k=8 fat-trees at 1/2/4 shards. Then a routing-loop sweep with
+  # the zoom on must be byte-identical across --jobs x --shards, and its
+  # core verdict columns (through pause_assertions — event counts
+  # legitimately differ, the controller schedules its own steps) must
+  # match the same sweep with the zoom off.
   cmake --build "$tsan_dir" --target test_hybrid -j"$(nproc)"
-  "$tsan_dir/tests/test_hybrid" --gtest_filter='HybridExecutor.*'
+  "$tsan_dir/tests/test_hybrid" \
+    --gtest_filter='HybridExecutor.*:HybridShards.*'
   hy_sweep() {
     "$tsan_dir/examples/dcdl_sweep" --scenario routing_loop \
       --grid "inject=4..6gbps:2" --seeds 2 --run_ms 6 --hybrid "$1" \

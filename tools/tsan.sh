@@ -23,7 +23,10 @@
 #   - test_hybrid: the hybrid fluid/packet engine — its controller runs on
 #     the control simulator while the engine's workers execute device
 #     events; the byte-identity test sweeps with the zoom on across
-#     jobs=1/shards=1 and jobs=4/shards=2.
+#     jobs=1/shards=1 and jobs=4/shards=2 (a routing loop: nothing
+#     fluidizes), and HybridShards.FluidPathDigestPinnedAcrossShardCounts
+#     exercises fluid integration, whole-packet credits and the zoom on
+#     k=4 and k=8 fat-trees at 1/2/4 shards against pinned digests.
 #   - test_probe: the dcdl::probe time-series layer — its sampler ticks on
 #     the control simulator while shard workers run device events, and its
 #     byte-identity test renders the `dcdl.timeseries.v1` artifact at
