@@ -1,167 +1,181 @@
 #include "dcdl/analysis/bdg.hpp"
 
 #include <algorithm>
-#include <functional>
-
-#include "dcdl/common/contract.hpp"
-#include "dcdl/device/switch.hpp"
+#include <cstdio>
+#include <numeric>
 
 namespace dcdl::analysis {
 
 BufferDependencyGraph BufferDependencyGraph::build(
-    const Network& net, const std::vector<FlowSpec>& flows, int max_steps) {
-  BufferDependencyGraph g;
+    const Network& net, const std::vector<FlowSpec>& flows) {
+  return build(net, walk_routes(net, flows));
+}
+
+BufferDependencyGraph BufferDependencyGraph::build(const Network& net,
+                                                   const RouteWalk& walk) {
   const Topology& topo = net.topo();
-  const auto& cfg = net.config();
+  const auto classes = static_cast<std::uint32_t>(net.config().num_classes);
+  const auto queue_of = [&](const PortPeer& into, ClassId cls) {
+    const std::size_t channel = net.channel_id(into.peer_node, into.peer_port);
+    return static_cast<std::uint32_t>(channel * classes + cls);
+  };
 
-  for (const FlowSpec& flow : flows) {
-    // Mirror the data path: start at the source host, walk lookups.
-    Packet pkt;
-    pkt.flow = flow.id;
-    pkt.src = flow.src_host;
-    pkt.dst = flow.dst_host;
-    pkt.ttl = flow.ttl;
-    pkt.prio = flow.prio;
-    pkt.hops = 0;
-
-    const PortPeer& first = topo.peer(flow.src_host, 0);
-    NodeId cur = first.peer_node;
-    PortId in_port = first.peer_port;
-    std::set<std::tuple<NodeId, PortId, ClassId>> visited;
-    bool looping = false;
-
-    for (int step = 0; step < max_steps; ++step) {
-      if (!topo.is_switch(cur)) break;  // reached a host
-      const auto& sw = net.switch_at(cur);
-      const auto egress = sw.routes().lookup(pkt.flow, pkt.dst);
-      if (!egress) break;  // blackhole: no dependency beyond this queue
-      const NodeId next = topo.peer(cur, *egress).peer_node;
-      if (topo.is_switch(next)) {
-        if (pkt.ttl == 0) break;  // TTL drain ends the walk
-        pkt.ttl -= 1;
-      }
-      const ClassId cls_here = pkt.prio;
-      const QueueKey here{cur, in_port, cls_here};
-      g.vertices_.insert(here);
-      if (!visited.insert({cur, in_port, cls_here}).second) {
-        looping = true;
-        break;  // walked the loop once: all its edges are recorded
-      }
-      // Departure class after the reclass hook (hops as it will be on wire).
-      Packet out = pkt;
-      if (topo.is_switch(next)) out.hops += 1;
-      const ClassId out_cls = cfg.reclass ? cfg.reclass(out, cur) : out.prio;
-      DCDL_ASSERT(out_cls < cfg.num_classes);
-      if (topo.is_switch(next)) {
-        const QueueKey there{next, topo.peer(cur, *egress).peer_port, out_cls};
-        g.vertices_.insert(there);
-        g.edges_[here].insert(there);
-      }
-      pkt.hops = out.hops;
-      pkt.prio = out_cls;
-      in_port = topo.peer(cur, *egress).peer_port;
-      cur = next;
+  // Every queue a forwarding switch holds or a switch forwards into, and
+  // every (from << 32 | to) dependency, repeats included.
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint64_t> arcs;
+  for (std::size_t i = 0; i < walk.flows(); ++i) {
+    const std::span<const Hop> hops = walk.hops(i);
+    if (hops.size() < 2) continue;  // the first switch forwarded nothing
+    std::uint32_t from =
+        queue_of(topo.peer(hops[0].node, hops[0].port), hops[0].cls);
+    ids.push_back(from);
+    for (std::size_t k = 1; k < hops.size(); ++k) {
+      const PortPeer& into = topo.peer(hops[k].node, hops[k].port);
+      if (!topo.is_switch(into.peer_node)) break;  // delivered
+      const std::uint32_t to = queue_of(into, hops[k].cls);
+      ids.push_back(to);
+      arcs.push_back(std::uint64_t{from} << 32 | to);
+      from = to;
     }
-    if (looping) g.looping_flows_.push_back(flow.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+
+  BufferDependencyGraph g;
+  g.looping_flows_ = walk.looping_flows();
+  const auto n = static_cast<std::uint32_t>(ids.size());
+  g.vertices_.reserve(n);
+  NodeId node = 0;
+  for (const std::uint32_t q : ids) {
+    const std::size_t channel = q / classes;
+    while (node + 1 < topo.node_count() &&
+           net.channel_id(node + 1, 0) <= channel) {
+      ++node;
+    }
+    g.vertices_.push_back(QueueKey{
+        node, static_cast<PortId>(channel - net.channel_id(node, 0)),
+        static_cast<ClassId>(q % classes)});
+  }
+  const auto index_of = [&](std::uint32_t q) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), q) - ids.begin());
+  };
+  g.succ_begin_.assign(n + 1, 0);
+  g.succ_.reserve(arcs.size());
+  for (const std::uint64_t a : arcs) {
+    g.succ_begin_[index_of(static_cast<std::uint32_t>(a >> 32)) + 1] += 1;
+    g.succ_.push_back(index_of(static_cast<std::uint32_t>(a)));
+  }
+  std::partial_sum(g.succ_begin_.begin(), g.succ_begin_.end(),
+                   g.succ_begin_.begin());
+
+  // Tarjan's SCC, iteratively: roots in vertex order, successors in
+  // order, so components complete (and pop their members) exactly as the
+  // recursive formulation would. A popped vertex's index becomes kDone,
+  // which no low-link minimum picks: no on-stack flags needed.
+  constexpr std::uint32_t kNew = ~std::uint32_t{0};
+  constexpr std::uint32_t kDone = kNew - 1;
+  std::vector<std::uint32_t> index(n, kNew);
+  std::vector<std::uint32_t> low(n, 0);
+  std::vector<std::uint32_t> stack;
+  struct Frame {
+    std::uint32_t v;
+    std::uint32_t next;  ///< next successor slot to explore
+  };
+  std::vector<Frame> frames;
+  std::uint32_t counter = 0;
+  for (std::uint32_t root = 0; root < n; ++root) {
+    if (index[root] != kNew) continue;
+    frames.push_back(Frame{root, g.succ_begin_[root]});
+    while (!frames.empty()) {
+      const std::uint32_t v = frames.back().v;
+      if (index[v] == kNew) {
+        index[v] = low[v] = counter++;
+        stack.push_back(v);
+      }
+      if (frames.back().next < g.succ_begin_[v + 1]) {
+        const std::uint32_t w = g.succ_[frames.back().next++];
+        if (index[w] == kNew) {
+          frames.push_back(Frame{w, g.succ_begin_[w]});
+        } else {
+          low[v] = std::min(low[v], index[w]);
+        }
+        continue;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        low[frames.back().v] = std::min(low[frames.back().v], low[v]);
+      }
+      if (low[v] != index[v]) continue;
+      const std::size_t begin = g.scc_.size();
+      std::uint32_t w;
+      do {
+        w = stack.back();
+        stack.pop_back();
+        index[w] = kDone;
+        g.scc_.push_back(w);
+      } while (w != v);
+      const auto succ = g.successors(v);
+      if (g.scc_.size() - begin > 1 ||
+          std::binary_search(succ.begin(), succ.end(), v)) {
+        g.scc_begin_.push_back(static_cast<std::uint32_t>(g.scc_.size()));
+      } else {
+        g.scc_.resize(begin);  // a lone vertex without a self-loop
+      }
+    }
   }
   return g;
 }
 
-namespace {
-
-// Tarjan SCC over the QueueKey graph.
-struct Tarjan {
-  const std::map<QueueKey, std::set<QueueKey>>& edges;
-  std::map<QueueKey, int> index, low;
-  std::map<QueueKey, bool> on_stack;
-  std::vector<QueueKey> stack;
-  int counter = 0;
-  std::vector<std::vector<QueueKey>> sccs;
-
-  void strongconnect(const QueueKey& v) {
-    index[v] = low[v] = counter++;
-    stack.push_back(v);
-    on_stack[v] = true;
-    if (const auto it = edges.find(v); it != edges.end()) {
-      for (const QueueKey& w : it->second) {
-        if (!index.count(w)) {
-          strongconnect(w);
-          low[v] = std::min(low[v], low[w]);
-        } else if (on_stack[w]) {
-          low[v] = std::min(low[v], index[w]);
-        }
-      }
-    }
-    if (low[v] == index[v]) {
-      std::vector<QueueKey> scc;
-      while (true) {
-        const QueueKey w = stack.back();
-        stack.pop_back();
-        on_stack[w] = false;
-        scc.push_back(w);
-        if (w == v) break;
-      }
-      sccs.push_back(std::move(scc));
-    }
-  }
-};
-
-std::vector<std::vector<QueueKey>> strongly_connected(
-    const std::set<QueueKey>& vertices,
-    const std::map<QueueKey, std::set<QueueKey>>& edges) {
-  Tarjan t{edges, {}, {}, {}, {}, 0, {}};
-  for (const QueueKey& v : vertices) {
-    if (!t.index.count(v)) t.strongconnect(v);
-  }
-  return t.sccs;
-}
-
-bool has_self_loop(const std::map<QueueKey, std::set<QueueKey>>& edges,
-                   const QueueKey& v) {
-  const auto it = edges.find(v);
-  return it != edges.end() && it->second.count(v) > 0;
-}
-
-}  // namespace
-
-bool BufferDependencyGraph::has_cycle() const {
-  for (const auto& scc : strongly_connected(vertices_, edges_)) {
-    if (scc.size() > 1) return true;
-    if (scc.size() == 1 && has_self_loop(edges_, scc[0])) return true;
-  }
-  return false;
-}
-
 std::vector<std::vector<QueueKey>> BufferDependencyGraph::cycles() const {
   std::vector<std::vector<QueueKey>> out;
-  for (const auto& scc : strongly_connected(vertices_, edges_)) {
-    if (scc.size() == 1 && !has_self_loop(edges_, scc[0])) continue;
+  std::vector<char> member(vertices_.size(), 0);
+  std::vector<char> on_path(vertices_.size(), 0);
+  std::vector<std::uint32_t> path;
+  std::vector<std::uint32_t> next;  ///< per path vertex: next successor slot
+  for (std::size_t c = 0; c + 1 < scc_begin_.size(); ++c) {
+    const std::span<const std::uint32_t> scc(
+        scc_.data() + scc_begin_[c], scc_begin_[c + 1] - scc_begin_[c]);
     if (scc.size() == 1) {
-      out.push_back({scc[0]});
+      out.push_back({vertices_[scc[0]]});
       continue;
     }
-    // Extract one cycle within the SCC by DFS back to the start vertex.
-    const std::set<QueueKey> members(scc.begin(), scc.end());
-    const QueueKey start = scc[0];
-    std::vector<QueueKey> path{start};
-    std::set<QueueKey> on_path{start};
-    std::function<bool(const QueueKey&)> dfs =
-        [&](const QueueKey& v) -> bool {
-      const auto it = edges_.find(v);
-      if (it == edges_.end()) return false;
-      for (const QueueKey& w : it->second) {
-        if (!members.count(w)) continue;
-        if (w == start && path.size() > 1) return true;
-        if (on_path.count(w)) continue;
-        path.push_back(w);
-        on_path.insert(w);
-        if (dfs(w)) return true;
+    // One cycle within the component: a depth-first search from its first
+    // popped vertex back to itself, successors in order, backtracking out
+    // of dead ends.
+    for (const std::uint32_t v : scc) member[v] = 1;
+    const std::uint32_t start = scc[0];
+    path.assign(1, start);
+    next.assign(1, succ_begin_[start]);
+    on_path[start] = 1;
+    bool found = false;
+    while (!path.empty() && !found) {
+      const std::uint32_t v = path.back();
+      if (next.back() == succ_begin_[v + 1]) {
+        on_path[v] = 0;
         path.pop_back();
-        on_path.erase(w);
+        next.pop_back();
+        continue;
       }
-      return false;
-    };
-    if (dfs(start)) out.push_back(path);
+      const std::uint32_t w = succ_[next.back()++];
+      if (member[w] == 0) continue;
+      if (w == start && path.size() > 1) {
+        found = true;
+      } else if (on_path[w] == 0) {
+        on_path[w] = 1;
+        path.push_back(w);
+        next.push_back(succ_begin_[w]);
+      }
+    }
+    if (found) {
+      std::vector<QueueKey>& cycle = out.emplace_back();
+      for (const std::uint32_t v : path) cycle.push_back(vertices_[v]);
+    }
+    for (const std::uint32_t v : path) on_path[v] = 0;
+    for (const std::uint32_t v : scc) member[v] = 0;
   }
   return out;
 }
@@ -169,8 +183,10 @@ std::vector<std::vector<QueueKey>> BufferDependencyGraph::cycles() const {
 std::string BufferDependencyGraph::describe(const Network& net) const {
   std::string out = "buffer dependency graph:\n";
   char buf[160];
-  for (const auto& [from, tos] : edges_) {
-    for (const auto& to : tos) {
+  for (std::size_t v = 0; v < vertices_.size(); ++v) {
+    const QueueKey& from = vertices_[v];
+    for (const std::uint32_t t : successors(v)) {
+      const QueueKey& to = vertices_[t];
       std::snprintf(buf, sizeof(buf), "  %s[rx%u,c%u] -> %s[rx%u,c%u]\n",
                     net.topo().node(from.node).name.c_str(), from.port,
                     from.cls, net.topo().node(to.node).name.c_str(), to.port,
@@ -178,9 +194,8 @@ std::string BufferDependencyGraph::describe(const Network& net) const {
       out += buf;
     }
   }
-  const auto cyc = cycles();
   std::snprintf(buf, sizeof(buf), "  cycles: %zu, looping flows: %zu\n",
-                cyc.size(), looping_flows_.size());
+                cycles().size(), looping_flows_.size());
   out += buf;
   return out;
 }

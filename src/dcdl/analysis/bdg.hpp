@@ -9,18 +9,20 @@
 // paper starts from — and the whole point of the paper is that it is not
 // sufficient.
 //
-// The graph is derived by walking each flow's forwarding path through the
-// live route tables, applying the same TTL and re-classification rules the
-// switches apply, so routing loops and class-remapping mitigations are
-// analyzed faithfully.
+// The graph is built from the route walk (route_walk.hpp), which applies
+// the switches' lookup, TTL and re-classification rules, so routing loops
+// and class-remapping mitigations are analyzed faithfully. Queues are
+// numbered Network::channel_id(switch, port) * num_classes + class, which
+// ascends as QueueKey does; edges are CSR, and one iterative Tarjan pass
+// at build time serves both has_cycle() and cycles().
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dcdl/analysis/route_walk.hpp"
 #include "dcdl/device/network.hpp"
 #include "dcdl/stats/pause_log.hpp"
 #include "dcdl/traffic/flow.hpp"
@@ -32,32 +34,40 @@ using QueueKey = stats::QueueKey;  // (node, port, cls)
 class BufferDependencyGraph {
  public:
   /// Builds the dependency graph for the given flows over the network's
-  /// current route tables. `max_steps` bounds path walks (covers routing
-  /// loops; TTL exhaustion also terminates walks).
+  /// current route tables.
   static BufferDependencyGraph build(const Network& net,
-                                     const std::vector<FlowSpec>& flows,
-                                     int max_steps = 4096);
+                                     const std::vector<FlowSpec>& flows);
+  /// Builds it from an existing walk of the network's routes.
+  static BufferDependencyGraph build(const Network& net,
+                                     const RouteWalk& walk);
 
-  const std::set<QueueKey>& vertices() const { return vertices_; }
-  const std::map<QueueKey, std::set<QueueKey>>& edges() const {
-    return edges_;
+  /// The vertices, ascending.
+  const std::vector<QueueKey>& vertices() const { return vertices_; }
+  /// Successors of vertices()[v], as ascending indices into vertices().
+  std::span<const std::uint32_t> successors(std::size_t v) const {
+    return {succ_.begin() + succ_begin_[v], succ_.begin() + succ_begin_[v + 1]};
   }
 
-  bool has_cycle() const;
+  bool has_cycle() const { return scc_begin_.size() > 1; }
 
   /// One representative cycle per strongly-connected component with >1 node
   /// (or a self-loop). Each cycle is a vertex sequence v0 -> v1 -> ... -> v0.
   std::vector<std::vector<QueueKey>> cycles() const;
 
-  /// Flows whose walk revisited a queue state: they are trapped in a
-  /// routing loop.
+  /// Flows whose packets re-enter a queue they occupied: they are trapped
+  /// in a routing loop (RouteWalk::looping).
   const std::vector<FlowId>& looping_flows() const { return looping_flows_; }
 
   std::string describe(const Network& net) const;
 
  private:
-  std::set<QueueKey> vertices_;
-  std::map<QueueKey, std::set<QueueKey>> edges_;
+  std::vector<QueueKey> vertices_;
+  std::vector<std::uint32_t> succ_begin_{0};  ///< CSR offsets, |V| + 1
+  std::vector<std::uint32_t> succ_;
+  /// Components with a cycle, in Tarjan's completion order, each as the
+  /// vertices it popped (CSR: scc_begin_ offsets into scc_).
+  std::vector<std::uint32_t> scc_begin_{0};
+  std::vector<std::uint32_t> scc_;
   std::vector<FlowId> looping_flows_;
 };
 

@@ -31,17 +31,17 @@
 // the paper's open problem; this is a falsifiable heuristic, reported
 // honestly against simulation outcomes.
 //
-// Cost: each assessment walks every flow's installed route once for the
-// rate filling and the offered load (the dependency graph walks its own),
-// and both run over dense channel ids (Network::channel_id) — flat
+// Cost: each assessment walks every flow's route once (route_walk.hpp);
+// the dependency graph, the rate filling and the offered load all read
+// that walk over dense channel ids (Network::channel_id) — flat
 // per-channel arrays, no ordered map rebuilt per filling round.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dcdl/analysis/bdg.hpp"
+#include "dcdl/analysis/route_walk.hpp"
 #include "dcdl/device/network.hpp"
 #include "dcdl/traffic/flow.hpp"
 
@@ -58,7 +58,6 @@ struct CycleRisk {
   /// Index (into cycle) of the link with the least utilization — the
   /// natural target for rate limiting ("intelligent rate limiting", §4).
   std::size_t weakest_hop = 0;
-  bool from_routing_loop = false;
 
   /// The reachability heuristic: lockable iff at most one slack link.
   bool reachable() const { return slack_links <= 1; }
@@ -72,10 +71,18 @@ struct RiskReport {
   double max_risk = 0;
   /// Max-min stable rate per flow (parallel to the input flow list).
   std::vector<Rate> stable_rates;
-  /// Flows whose installed routes revisit a queue state (routing loops) —
-  /// surfaced from the dependency-graph walk so online consumers (the
-  /// hybrid zoom) need not rebuild the graph themselves.
+  /// Flows whose packets re-enter a queue they occupied (routing loops),
+  /// from the walk below.
   std::vector<FlowId> looping_flows;
+  /// The walk the assessment read, so online consumers (the hybrid zoom,
+  /// the rate-limit planner) need not walk the routes again.
+  RouteWalk walk;
+  /// Stable-state utilization per Network::channel_id: offered load (the
+  /// stable rates on acyclic paths, Eq. 2's flux r*TTL/n capped at line
+  /// rate on forwarding-loop channels) over capacity; zero where no flow
+  /// crosses. The hybrid zoom fluidizes a flow only while every channel it
+  /// crosses stays clear of saturation.
+  std::vector<double> utilization;
 
   /// True if any dependency cycle passes the slack-link rule.
   bool deadlock_reachable() const {
@@ -87,58 +94,19 @@ struct RiskReport {
 };
 
 /// Assesses the installed routing + flow set. `demands[i]` caps flow i
-/// (zero / missing = greedy). Flows trapped in routing loops contribute a
-/// boundary-model risk instead of a fair-share rate.
+/// (zero / missing = greedy). Flows whose routes run a forwarding loop
+/// contribute a boundary-model risk instead of a fair-share rate.
 RiskReport assess_deadlock_risk(const Network& net,
                                 const std::vector<FlowSpec>& flows,
                                 const std::vector<Rate>& demands = {});
 
 /// Max-min fair stable rates over the installed routes (progressive
 /// filling; the §3.2 "flow-level stable state analysis based on PFC
-/// fairness", exposed for reuse). Looping flows get their demand (they
-/// are not capacity-fair-shared; the loop analysis handles them).
+/// fairness", exposed for reuse). Flows on a forwarding loop get their
+/// demand (they are not capacity-fair-shared; the loop analysis handles
+/// them).
 std::vector<Rate> stable_flow_rates(const Network& net,
                                     const std::vector<FlowSpec>& flows,
                                     const std::vector<Rate>& demands = {});
-
-/// The sequence of directed channels (node, egress port) each flow
-/// crosses under the installed routes. Loop portions appear once, after
-/// the acyclic prefix. Used by the intelligent rate-limiting planner.
-std::vector<std::vector<std::pair<NodeId, PortId>>> flow_channels(
-    const Network& net, const std::vector<FlowSpec>& flows);
-
-/// Stable-state utilization of every directed channel, indexed by
-/// Network::channel_id: offered load (the given fair-share rates on
-/// acyclic paths, circulating loop flux on loop channels) over capacity;
-/// zero where no flow crosses. `stable_rates` is the RiskReport::
-/// stable_rates of the demands in question (one per flow), so the filling
-/// is not repeated. The hybrid engine's fluidization rule reads this: a
-/// flow is only safe to integrate at flow level while every channel it
-/// crosses stays clear of saturation.
-std::vector<double> channel_utilization(const Network& net,
-                                        const std::vector<FlowSpec>& flows,
-                                        const std::vector<Rate>& stable_rates);
-
-/// Online risk mode (hybrid engine): periodically re-assesses the *live*
-/// network — route tables are re-walked on every call, so loops that form
-/// mid-run (BGP churn, SDN updates) surface here — with measured per-flow
-/// rates standing in for demands. Holds the flow list by value; the
-/// network must outlive the assessor.
-class OnlineRiskAssessor {
- public:
-  OnlineRiskAssessor(const Network& net, std::vector<FlowSpec> flows);
-
-  /// `measured[i]` is flow i's observed rate (zero = treat as greedy).
-  const RiskReport& reassess(const std::vector<Rate>& measured);
-
-  const RiskReport& report() const { return report_; }
-  std::uint64_t assessments() const { return assessments_; }
-
- private:
-  const Network& net_;
-  std::vector<FlowSpec> flows_;
-  RiskReport report_;
-  std::uint64_t assessments_ = 0;
-};
 
 }  // namespace dcdl::analysis

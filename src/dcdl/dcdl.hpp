@@ -35,6 +35,7 @@
 #include "dcdl/analysis/deadlock.hpp"
 #include "dcdl/analysis/fluid.hpp"
 #include "dcdl/analysis/risk.hpp"
+#include "dcdl/analysis/route_walk.hpp"
 
 #include "dcdl/dataplane/dataplane.hpp"
 

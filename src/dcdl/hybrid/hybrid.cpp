@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <tuple>
+#include <span>
 
 #include "dcdl/common/contract.hpp"
 #include "dcdl/device/host.hpp"
@@ -59,8 +58,7 @@ HybridController::HybridController(Network& net, std::vector<FlowSpec> flows,
           cfg.regions > 0
               ? cfg.regions
               : std::max<int>(
-                    1, static_cast<int>(net.topo().switches().size())))),
-      assessor_(net, flows_) {
+                    1, static_cast<int>(net.topo().switches().size())))) {
   if (cfg_.mode == Mode::kOff) return;
   DCDL_EXPECTS(cfg_.fluid_dt > Time::zero());
   DCDL_EXPECTS(cfg_.zoom_xoff_fraction > 0.0);
@@ -88,12 +86,7 @@ HybridController::HybridController(Network& net, std::vector<FlowSpec> flows,
     eligible_[i] = 1;
   }
 
-  refresh_geometry();
-  const std::vector<Rate> demands = pacer_rates();
-  assessor_.reassess(demands);
-  ++stats_.risk_reassessments;
-  update_blocked();
-  apply_pins();
+  reassess(pacer_rates());
   refluidize(net_.sim().now());
   schedule_next();
 }
@@ -137,8 +130,15 @@ std::vector<Rate> HybridController::pacer_rates() const {
   return r;
 }
 
+void HybridController::reassess(const std::vector<Rate>& demands) {
+  report_ = analysis::assess_deadlock_risk(net_, flows_, demands);
+  ++stats_.risk_reassessments;
+  refresh_geometry();
+  update_blocked();
+  apply_pins();
+}
+
 void HybridController::refresh_geometry() {
-  channels_ = analysis::flow_channels(net_, flows_);
   path_links_.resize(flows_.size());
   path_regions_.resize(flows_.size());
   const Topology& topo = net_.topo();
@@ -151,10 +151,10 @@ void HybridController::refresh_geometry() {
     std::vector<int>& regs = path_regions_[i];
     links.clear();
     regs.clear();
-    for (const auto& [node, port] : channels_[i]) {
-      const PortPeer& pp = topo.peer(node, port);
+    for (const analysis::Hop& h : report_.walk.path(i)) {
+      const PortPeer& pp = topo.peer(h.node, h.port);
       links.push_back(pp.link);
-      regs.push_back(region_of(node));
+      regs.push_back(region_of(h.node));
       regs.push_back(region_of(pp.peer_node));
     }
     sort_unique(links);
@@ -178,9 +178,8 @@ void HybridController::set_region_packet(Time now, int r, bool packet) {
 
 void HybridController::apply_pins() {
   const Time now = net_.sim().now();
-  const analysis::RiskReport& rep = assessor_.report();
   std::vector<char> pinned(region_.size(), 0);
-  for (const analysis::CycleRisk& c : rep.cycles) {
+  for (const analysis::CycleRisk& c : report_.cycles) {
     for (const analysis::QueueKey& qk : c.cycle) {
       pinned[static_cast<std::size_t>(region_of(qk.node))] = 1;
     }
@@ -236,22 +235,16 @@ void HybridController::scan_regions(Time now) {
 }
 
 void HybridController::update_blocked() {
-  const analysis::RiskReport& rep = assessor_.report();
-  const std::vector<double> utilization =
-      analysis::channel_utilization(net_, flows_, rep.stable_rates);
-  const std::set<FlowId> looping(rep.looping_flows.begin(),
-                                 rep.looping_flows.end());
   const Topology& topo = net_.topo();
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const auto& ch = channels_[i];
+    const std::span<const analysis::Hop> path = report_.walk.path(i);
     // The installed route must actually reach the destination (last egress
     // lands on dst); misrouted or blackholed flows stay packet.
-    bool blocked = looping.count(flows_[i].id) > 0 || ch.size() < 2 ||
-                   topo.peer(ch.back().first, ch.back().second).peer_node !=
+    bool blocked = report_.walk.looping(i) || path.size() < 2 ||
+                   topo.peer(path.back().node, path.back().port).peer_node !=
                        flows_[i].dst_host;
-    for (std::size_t j = 0; !blocked && j < ch.size(); ++j) {
-      blocked = utilization[net_.channel_id(ch[j].first, ch[j].second)] >=
-                cfg_.saturation;
+    for (std::size_t j = 0; !blocked && j < path.size(); ++j) {
+      blocked = report_.utilization[path[j].channel] >= cfg_.saturation;
     }
     blocked_[i] = blocked ? 1 : 0;
   }
@@ -322,63 +315,47 @@ void HybridController::rebuild_models() {
     }
   }
   std::map<std::size_t, std::size_t> component;  // root -> models_ index
-  const Topology& topo = net_.topo();
   const PfcConfig& pfc = net_.config().pfc;
-  // Per-component builder state, parallel to models_.
-  std::vector<std::map<std::pair<NodeId, PortId>, int>> link_of;
-  std::vector<std::map<std::tuple<NodeId, PortId, ClassId>, int>> queue_of;
+  // A channel and the queues it feeds belong to one component: its model
+  // link by channel id, its model queues by channel id and class.
+  std::map<std::uint32_t, int> link_of;
+  std::map<std::uint64_t, int> queue_of;
   for (std::size_t m = 0; m < members.size(); ++m) {
     const std::size_t i = members[m];
-    const std::size_t root = uf.find(m);
-    const auto [cit, fresh] = component.emplace(root, models_.size());
-    if (fresh) {
-      models_.emplace_back();
-      link_of.emplace_back();
-      queue_of.emplace_back();
-    }
+    const auto [cit, fresh] = component.emplace(uf.find(m), models_.size());
+    if (fresh) models_.emplace_back();
     FluidInstance& inst = models_[cit->second];
-    auto& links = link_of[cit->second];
-    auto& queues = queue_of[cit->second];
 
     analysis::FluidFlow ff;
     ff.name = "flow " + std::to_string(flows_[i].id);
     Pacer* p = net_.host_at(flows_[i].src_host).pacer(flows_[i].id);
     ff.demand = p->current_rate().value_or(Rate::zero());
-    const auto& ch = channels_[i];
-    for (std::size_t j = 1; j < ch.size(); ++j) {
-      const auto [up_node, up_port] = ch[j - 1];
-      const auto lit = links.find({up_node, up_port});
-      int l;
-      if (lit != links.end()) {
-        l = lit->second;
-      } else {
+    const std::span<const analysis::Hop> path = report_.walk.path(i);
+    for (std::size_t j = 1; j < path.size(); ++j) {
+      const analysis::Hop& up = path[j - 1];
+      const auto [lit, new_link] = link_of.emplace(up.channel, 0);
+      if (new_link) {
         analysis::FluidLink fl;
-        fl.name = "link " + std::to_string(up_node) + ":" +
-                  std::to_string(up_port);
-        fl.capacity = net_.link_rate(up_node, up_port);
-        fl.control_delay = net_.link_delay(up_node, up_port);
-        l = inst.model.add_link(fl);
-        links.emplace(std::make_pair(up_node, up_port), l);
+        fl.name = "link " + std::to_string(up.node) + ":" +
+                  std::to_string(up.port);
+        fl.capacity = net_.link_rate(up.node, up.port);
+        fl.control_delay = net_.link_delay(up.node, up.port);
+        lit->second = inst.model.add_link(fl);
       }
-      const NodeId sw = ch[j].first;
-      const PortId in_port = topo.peer(up_node, up_port).peer_port;
-      const auto key = std::make_tuple(sw, in_port, flows_[i].prio);
-      const auto qit = queues.find(key);
-      int q;
-      if (qit != queues.end()) {
-        q = qit->second;
-      } else {
+      const auto [qit, new_queue] = queue_of.emplace(
+          std::uint64_t{up.channel} << 8 | flows_[i].prio, 0);
+      if (new_queue) {
+        const NodeId sw = path[j].node;
         analysis::FluidQueue fq;
         fq.name = "sw " + std::to_string(sw) + " p" +
-                  std::to_string(in_port);
+                  std::to_string(net_.topo().peer(up.node, up.port).peer_port);
         fq.xoff_bytes = pfc.xoff_bytes;
         fq.xon_bytes = pfc.xon_bytes;
-        fq.upstream_link = l;
-        q = inst.model.add_queue(fq);
-        queues.emplace(key, q);
+        fq.upstream_link = lit->second;
+        qit->second = inst.model.add_queue(fq);
         inst.queue_switch.push_back(sw);
       }
-      ff.queues.push_back(q);
+      ff.queues.push_back(qit->second);
     }
     inst.flow_of.push_back(i);
     inst.model.add_flow(std::move(ff));
@@ -455,12 +432,7 @@ void HybridController::step() {
   //    loops that form mid-run surface) with measured rates as demands.
   if (cfg_.mode == Mode::kRisk && cfg_.risk_every > 0 &&
       stats_.steps % static_cast<std::uint64_t>(cfg_.risk_every) == 0) {
-    refresh_geometry();
-    const std::vector<Rate> measured = measured_rates(now);
-    assessor_.reassess(measured);
-    ++stats_.risk_reassessments;
-    update_blocked();
-    apply_pins();
+    reassess(measured_rates(now));
   }
 
   // 4. Re-derive the fluid set (no-op when nothing changed).

@@ -24,8 +24,8 @@
 //      controlled, or windowed flows stay packet),
 //   3. it runs for the whole simulation (start == 0, stop == inf),
 //   4. every channel it crosses sits below the saturation threshold under
-//      stable-state analysis (risk.hpp's channel_utilization, over the
-//      stable rates of the same assessment),
+//      stable-state analysis (RiskReport::utilization, over the stable
+//      rates of the same assessment),
 //   5. its path is link-disjoint from every packet-level flow (computed to
 //      a fixpoint, so de-fluidizing one flow cascades), and
 //   6. every region it crosses is at fluid level.
@@ -51,13 +51,13 @@
 // that misses its destination) derived only at construction and at each
 // reassessment. Between reassessments a step allocates nothing unless the
 // fluid set changes; every risk_every-th step in risk mode adds one
-// assessment (dependency graph + one stable-rate filling).
+// assessment (one walk of every route, one SCC pass, one stable-rate
+// filling) whose walk and utilization give the geometry, flags and pins.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dcdl/analysis/fluid.hpp"
@@ -131,7 +131,7 @@ class HybridController {
 
   const HybridConfig& config() const { return cfg_; }
   const HybridStats& stats() const { return stats_; }
-  const analysis::RiskReport& risk() const { return assessor_.report(); }
+  const analysis::RiskReport& risk() const { return report_; }
 
   int num_regions() const { return regions_.num_shards; }
   bool region_packet(int r) const;
@@ -162,7 +162,10 @@ class HybridController {
 
   void step();
   void schedule_next();
-  /// Re-walks the installed routes into channels_/path_links_/path_regions_.
+  /// Assesses the live routes with `demands` and re-derives the geometry,
+  /// blocked flags and pins from that one report.
+  void reassess(const std::vector<Rate>& demands);
+  /// Re-derives path_links_/path_regions_ from the report's walk.
   void refresh_geometry();
   /// Rebuilds the fluid components for the current fluid_ set.
   void rebuild_models();
@@ -175,7 +178,7 @@ class HybridController {
   /// applies the escalation / cooldown state machine.
   void scan_regions(Time now);
   /// Re-derives the per-flow blocked_ flags from the risk report (looping
-  /// flows, stable-rate channel utilization) and the current geometry.
+  /// flows, stable-rate channel utilization, paths).
   void update_blocked();
   /// Recomputes the fluidizable set (static eligibility, blocked flags,
   /// region levels, link-disjointness fixpoint), holds/releases flows, and
@@ -189,12 +192,11 @@ class HybridController {
   HybridConfig cfg_;
   topo::ShardPlan regions_;
   std::vector<Region> region_;
-  analysis::OnlineRiskAssessor assessor_;
+  /// The last assessment; its walk gives every flow's path.
+  analysis::RiskReport report_;
   std::vector<NodeId> switches_;  ///< the topology's switches, for the scan
 
-  /// Per-flow path geometry (parallel to flows_), fixed at construction
-  /// from the installed routes; refreshed on reassess in risk mode.
-  std::vector<std::vector<std::pair<NodeId, PortId>>> channels_;
+  /// Per flow (parallel to flows_): the links and regions its path crosses.
   std::vector<std::vector<std::uint32_t>> path_links_;
   std::vector<std::vector<int>> path_regions_;
   std::vector<char> eligible_;  ///< static per-flow checks (pacer, window)

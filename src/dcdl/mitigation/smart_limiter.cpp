@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "dcdl/common/contract.hpp"
 #include "dcdl/device/host.hpp"
@@ -22,8 +21,6 @@ RateLimitPlan plan_rate_limits(const Network& net,
                                int required_slack_links) {
   DCDL_EXPECTS(target_utilization > 0 && target_utilization < kSaturated);
   RateLimitPlan plan;
-  const auto channels = analysis::flow_channels(net, flows);
-
   std::vector<Rate> caps(flows.size(), Rate::zero());
   for (std::size_t i = 0; i < demands.size() && i < caps.size(); ++i) {
     caps[i] = demands[i];
@@ -44,6 +41,7 @@ RateLimitPlan plan_rate_limits(const Network& net,
 
     // Choose the saturated cycle link crossed by the fewest flows — the
     // minimal blast radius.
+    const analysis::RouteWalk& walk = report.walk;
     std::size_t best_hop = worst->cycle.size();
     std::vector<std::size_t> best_crossers;
     Channel best_chan{kInvalidNode, kInvalidPort};
@@ -52,10 +50,13 @@ RateLimitPlan plan_rate_limits(const Network& net,
       const auto& next = worst->cycle[(hop + 1) % worst->cycle.size()];
       const PortPeer& pp = net.topo().peer(next.node, next.port);
       const Channel chan{pp.peer_node, pp.peer_port};
+      const std::size_t id = net.channel_id(chan.first, chan.second);
       std::vector<std::size_t> crossers;
       for (std::size_t i = 0; i < flows.size(); ++i) {
-        if (std::find(channels[i].begin(), channels[i].end(), chan) !=
-            channels[i].end()) {
+        const auto path = walk.path(i);
+        if (std::any_of(path.begin(), path.end(), [&](const auto& h) {
+              return h.channel == id;
+            })) {
           crossers.push_back(i);
         }
       }
@@ -85,9 +86,9 @@ RateLimitPlan plan_rate_limits(const Network& net,
       if (caps[i].is_zero() || new_cap < caps[i]) {
         caps[i] = new_cap;
         NodeId sw = kInvalidNode;
-        for (const Channel& c : channels[i]) {
-          if (net.topo().is_switch(c.first)) {
-            sw = c.first;
+        for (const analysis::Hop& h : walk.path(i)) {
+          if (net.topo().is_switch(h.node)) {
+            sw = h.node;
             break;
           }
         }

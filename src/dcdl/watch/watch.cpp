@@ -59,10 +59,7 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
   slope_ring_.assign(static_cast<std::size_t>(opts_.slope_window),
                      {Time::zero(), 0.0});
 
-  if (opts_.risk_every > 0 && !flows_.empty()) {
-    risk_ = std::make_unique<analysis::OnlineRiskAssessor>(net_, flows_);
-    prev_sent_.assign(flows_.size(), 0);
-  }
+  if (opts_.risk_every > 0) prev_sent_.assign(flows_.size(), 0);
 
   // Open-pause bookkeeping rides the pfc_state hook — chained, so it
   // coexists with the probe's and the pause log's observers. It fires on
@@ -87,11 +84,8 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
 void RunWatch::start(Simulator& sim, Time until) {
   start_ = sim.now();
   prev_measure_at_ = start_;
-  if (risk_ != nullptr) {
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-      prev_sent_[i] = net_.host_at(flows_[i].src_host).sent_bytes(
-          flows_[i].id);
-    }
+  for (std::size_t i = 0; i < prev_sent_.size(); ++i) {
+    prev_sent_[i] = net_.host_at(flows_[i].src_host).sent_bytes(flows_[i].id);
   }
   // Pre-fill the slope ring with the starting occupancy so early slopes
   // measure growth from the attach instant, not from zero.
@@ -145,8 +139,8 @@ void RunWatch::tick(Time t) {
   values_[kWedgeQueues] =
       snap.has_cycle ? static_cast<double>(snap.cycle.size()) : 0.0;
 
-  if (risk_ != nullptr && ticks_ % static_cast<std::uint64_t>(
-                                       opts_.risk_every) == 0) {
+  if (!prev_sent_.empty() &&
+      ticks_ % static_cast<std::uint64_t>(opts_.risk_every) == 0) {
     // Measured per-flow rates from the hosts' cumulative sent counters —
     // the same barrier-time state-read pattern as the probe's utilization.
     std::vector<Rate> measured(flows_.size(), Rate::zero());
@@ -162,7 +156,8 @@ void RunWatch::tick(Time t) {
       prev_sent_[i] = sent;
     }
     prev_measure_at_ = t;
-    const analysis::RiskReport& report = risk_->reassess(measured);
+    const analysis::RiskReport report =
+        analysis::assess_deadlock_risk(net_, flows_, measured);
     risk_max_latched_ = report.max_risk;
     risk_reachable_latched_ = report.deadlock_reachable() ? 1.0 : 0.0;
   }

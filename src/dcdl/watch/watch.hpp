@@ -26,9 +26,10 @@
 //   pause_age_us    age of the oldest still-open pause span (microseconds)
 //   wedge_queues    queues in the instantaneous wait-for cycle
 //                   (analysis::snapshot_wait_for; 0 = no cycle)
-//   risk_max        OnlineRiskAssessor max_risk, re-assessed with measured
-//                   flow rates every `risk_every` ticks (latched between)
-//   risk_reachable  1 when the assessor's slack-link rule says some
+//   risk_max        analysis::assess_deadlock_risk's max_risk, re-assessed
+//                   with measured flow rates every `risk_every` ticks
+//                   (latched between)
+//   risk_reachable  1 when that assessment's slack-link rule says some
 //                   dependency cycle is lockable at the measured rates
 //
 // Hot-spot attribution: each tick identifies the "hot node" — the head of
@@ -61,7 +62,7 @@ struct WatchOptions {
   /// (campaign::execute_run) overrides it with
   /// ExecutorOptions::probe_interval, so probe and watch share one clock.
   Time interval = Time{100'000'000};  // 100 us
-  /// Re-assess deadlock risk (OnlineRiskAssessor over measured rates)
+  /// Re-assess deadlock risk (assess_deadlock_risk over measured rates)
   /// every this many ticks; 0 disables the risk signals (they stay 0).
   int risk_every = 10;
   /// Trailing window (ticks) for the queue_growth slope.
@@ -140,8 +141,8 @@ class RunWatch {
   std::vector<std::pair<Time, double>> slope_ring_;
   std::size_t slope_next_ = 0;
 
-  // Risk re-assessment state.
-  std::unique_ptr<analysis::OnlineRiskAssessor> risk_;
+  // Risk re-assessment state: per-flow sent bytes at the last assessment
+  // (empty when the risk signals are off).
   std::vector<std::int64_t> prev_sent_;
   Time prev_measure_at_ = Time::zero();
   double risk_max_latched_ = 0;

@@ -230,14 +230,13 @@ TEST(StableRates, FatTreeRatesAndUtilizationPinned) {
   ASSERT_EQ(report.stable_rates, rates);
   EXPECT_TRUE(report.cbd_present);
   EXPECT_EQ(report.looping_flows, std::vector<FlowId>{97});
-  EXPECT_EQ(flow_channels(net, {holed})[0].size(), 1u);
+  EXPECT_EQ(walk_routes(net, {holed}).path(0).size(), 1u);
   Fnv rd;
   for (const Rate r : rates) rd.mix(static_cast<std::uint64_t>(r.bps()));
   EXPECT_EQ(rd.h, 16797723390366985624ULL);
 
   // Utilization of the same demands, from the report's stable rates.
-  const std::vector<double> util =
-      channel_utilization(net, flows, report.stable_rates);
+  const std::vector<double>& util = report.utilization;
   ASSERT_EQ(util.size(), net.channel_count());
   Fnv ud;
   std::size_t nonzero = 0;

@@ -2,6 +2,8 @@
 // blackholes, unreachable destinations, empty flow sets, demand vectors.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "dcdl/analysis/risk.hpp"
 #include "dcdl/device/switch.hpp"
 #include "dcdl/routing/compute.hpp"
@@ -36,10 +38,10 @@ TEST(RiskEdges, BlackholedFlowGetsAPrefixOnly) {
   f.src_host = line.hosts[0][0];
   f.dst_host = line.hosts[2][0];
   net.switch_at(line.switches[1]).routes().clear();
-  const auto channels = flow_channels(net, {f});
-  ASSERT_EQ(channels.size(), 1u);
+  const RouteWalk walk = walk_routes(net, {f});
+  ASSERT_EQ(walk.flows(), 1u);
   // host->S0 and S0->S1; nothing beyond the blackhole.
-  EXPECT_EQ(channels[0].size(), 2u);
+  EXPECT_EQ(walk.path(0).size(), 2u);
   // Rates still computable (the truncated path is what loads links).
   const auto rates = stable_flow_rates(net, {f});
   EXPECT_EQ(rates.size(), 1u);
@@ -110,13 +112,63 @@ TEST(RiskEdges, LoopChannelsAppearOnce) {
   f.src_host = ring.hosts[0][0];
   f.dst_host = ring.hosts[1][0];
   f.ttl = 30;
-  const auto channels = flow_channels(net, {f});
-  ASSERT_EQ(channels.size(), 1u);
+  const RouteWalk walk = walk_routes(net, {f});
+  ASSERT_EQ(walk.flows(), 1u);
   // host->S0 plus the 3 distinct loop channels, each exactly once.
-  EXPECT_EQ(channels[0].size(), 4u);
-  std::set<std::pair<NodeId, PortId>> uniq(channels[0].begin(),
-                                           channels[0].end());
-  EXPECT_EQ(uniq.size(), channels[0].size());
+  EXPECT_EQ(walk.path(0).size(), 4u);
+  std::set<std::uint32_t> uniq;
+  for (const Hop& h : walk.path(0)) uniq.insert(h.channel);
+  EXPECT_EQ(uniq.size(), walk.path(0).size());
+}
+
+/// A flow from S0's host into a 2-switch routing loop, at 6 Gbps.
+struct TwoSwitchLoop {
+  explicit TwoSwitchLoop(std::uint8_t ttl)
+      : ring(make_ring(2, 1)), net(sim, ring.topo, NetConfig{}) {
+    routing::install_loop_route(net, ring.hosts[1][0], ring.switches);
+    flow.id = 1;
+    flow.src_host = ring.hosts[0][0];
+    flow.dst_host = ring.hosts[1][0];
+    flow.ttl = ttl;
+  }
+  /// Stable utilization of the channel from switch `a` to switch `b`.
+  double util(const RiskReport& r, int a, int b) const {
+    const NodeId from = ring.switches[static_cast<std::size_t>(a)];
+    const NodeId to = ring.switches[static_cast<std::size_t>(b)];
+    return r.utilization[net.channel_id(
+        from, *ring.topo.port_towards(from, to))];
+  }
+  Simulator sim;
+  RingTopo ring;
+  Network net;
+  FlowSpec flow;
+};
+
+TEST(RiskEdges, TtlExpiryLoadsOnlyWhatTheSwitchTransmits) {
+  // TTL 1: S0 forwards with TTL 0 and S1 drops the packet, so S1->S0
+  // carries nothing.
+  TwoSwitchLoop loop(1);
+  const RiskReport r =
+      assess_deadlock_risk(loop.net, {loop.flow}, {Rate::gbps(6)});
+  EXPECT_FALSE(r.cbd_present);
+  EXPECT_DOUBLE_EQ(loop.util(r, 0, 1), 0.15);
+  EXPECT_EQ(loop.util(r, 1, 0), 0.0);
+  EXPECT_EQ(r.walk.path(0).size(), 2u);
+}
+
+TEST(RiskEdges, LoopFluxAndLoopingFlowAgreeAtSmallTtl) {
+  // TTL 3: S0->S1, S1->S0, S0->S1 again — the packet re-enters S1's
+  // ingress before S1 drops it for TTL. The flow is looping, and Eq. 2's
+  // flux r*TTL/n = 6*3/2 Gbps loads both loop channels at 0.225.
+  TwoSwitchLoop loop(3);
+  const RiskReport r =
+      assess_deadlock_risk(loop.net, {loop.flow}, {Rate::gbps(6)});
+  EXPECT_TRUE(r.cbd_present);
+  EXPECT_EQ(r.looping_flows, std::vector<FlowId>{1});
+  EXPECT_DOUBLE_EQ(loop.util(r, 0, 1), 0.225);
+  EXPECT_DOUBLE_EQ(loop.util(r, 1, 0), 0.225);
+  ASSERT_EQ(r.cycles.size(), 1u);
+  EXPECT_DOUBLE_EQ(r.cycles[0].min_utilization, 0.225);
 }
 
 }  // namespace

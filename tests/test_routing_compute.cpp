@@ -21,10 +21,10 @@ struct Fixture {
 
 // Follows installed tables from a source host; returns the node sequence.
 std::vector<NodeId> walk(const Network& net, FlowId flow, NodeId src,
-                         NodeId dst, int max_steps = 64) {
+                         NodeId dst, int hop_limit = 64) {
   std::vector<NodeId> path{src};
   NodeId cur = net.topo().peer(src, 0).peer_node;
-  for (int i = 0; i < max_steps; ++i) {
+  for (int i = 0; i < hop_limit; ++i) {
     path.push_back(cur);
     if (cur == dst) return path;
     if (!net.topo().is_switch(cur)) return path;  // wrong host
