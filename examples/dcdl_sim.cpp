@@ -87,8 +87,9 @@ int main(int argc, char** argv) {
   const bool smart_limit = flags.get_bool("smart_limit", false);
   const std::string trace_dir = flags.get_string("trace", "");
   const bool metrics = flags.get_bool("metrics", false);
-  const Time probe_interval =
-      Time{flags.get_int("probe_us", 100) * 1'000'000};
+  const Time probe_interval = Time{
+      flags.get_int("probe_us", probe::kSampleInterval.ps() / 1'000'000) *
+      1'000'000};
   const bool watch_live = flags.get_bool("watch", false);
   const bool profile = flags.get_bool("profile", false);
   const int shards = flags.shards();

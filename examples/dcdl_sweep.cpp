@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
   const bool quiet = flags.get_bool("quiet", false);
   const bool progress = flags.get_bool("progress", false);
   const std::string trace_dir = flags.get_string("trace", "");
-  const std::int64_t probe_us = flags.get_int("probe_us", 100);
+  const std::int64_t probe_us =
+      flags.get_int("probe_us", probe::kSampleInterval.ps() / 1'000'000);
   const bool metrics = flags.get_bool("metrics", false);
   const std::string hybrid_str = flags.get_string("hybrid", "off");
   const std::optional<hybrid::Mode> hybrid_mode =

@@ -4,6 +4,8 @@
 #include <limits>
 #include <span>
 
+#include "dcdl/device/host.hpp"
+
 namespace dcdl::analysis {
 
 namespace {
@@ -184,7 +186,6 @@ RiskReport assess_deadlock_risk(const Network& net,
   report.utilization = utilization(net, report.walk, report.stable_rates);
   if (!report.cbd_present) return report;
 
-  constexpr double kSaturated = 0.95;
   for (const auto& cycle : bdg.cycles()) {
     CycleRisk risk;
     risk.cycle = cycle;
@@ -211,6 +212,29 @@ RiskReport assess_deadlock_risk(const Network& net,
     report.cycles.push_back(std::move(risk));
   }
   return report;
+}
+
+void SentRateMeter::reset(const Network& net,
+                          const std::vector<FlowSpec>& flows, Time now) {
+  sent_.resize(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    sent_[i] = net.host_at(flows[i].src_host).sent_bytes(flows[i].id);
+  }
+  at_ = now;
+  window_ = Time::zero();
+}
+
+Rate SentRateMeter::rate(const Network& net, const FlowSpec& flow,
+                         std::size_t i) {
+  const std::int64_t sent = net.host_at(flow.src_host).sent_bytes(flow.id);
+  Rate r = Rate::zero();
+  if (window_ > Time::zero()) {
+    r = Rate{static_cast<std::int64_t>(
+        static_cast<double>(sent - sent_[i]) * 8.0 * 1e12 /
+        static_cast<double>(window_.ps()))};
+  }
+  sent_[i] = sent;
+  return r;
 }
 
 }  // namespace dcdl::analysis

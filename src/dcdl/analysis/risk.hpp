@@ -47,13 +47,19 @@
 
 namespace dcdl::analysis {
 
+/// Stable utilization at which a link counts as saturated. A cycle link
+/// below it is slack; the rate-limit planner targets utilizations under
+/// it; the hybrid zoom keeps a flow at packet level while any channel it
+/// crosses reaches it.
+inline constexpr double kSaturated = 0.95;
+
 struct CycleRisk {
   std::vector<QueueKey> cycle;
   /// Utilization of each cycle link (link i feeds cycle[(i+1) % n]).
   std::vector<double> link_utilization;
   /// min over the cycle's links of (offered stable load / capacity).
   double min_utilization = 0;
-  /// Links with utilization < saturation threshold (0.95).
+  /// Links with utilization < kSaturated.
   int slack_links = 0;
   /// Index (into cycle) of the link with the least utilization — the
   /// natural target for rate limiting ("intelligent rate limiting", §4).
@@ -108,5 +114,31 @@ RiskReport assess_deadlock_risk(const Network& net,
 std::vector<Rate> stable_flow_rates(const Network& net,
                                     const std::vector<FlowSpec>& flows,
                                     const std::vector<Rate>& demands = {});
+
+/// Per-flow sending rates measured from the source hosts' cumulative
+/// sent-byte counters (Host::sent_bytes): the demands a live reassessment
+/// feeds assess_deadlock_risk. Each observer owns one meter, so each keeps
+/// its own baseline.
+class SentRateMeter {
+ public:
+  /// Baselines every flow at its current counter and the window at `now`.
+  void reset(const Network& net, const std::vector<FlowSpec>& flows,
+             Time now);
+  /// Closes the window at `now`: rate() then reads (previous close, now].
+  void close_window(Time now) {
+    window_ = now - at_;
+    at_ = now;
+  }
+  /// Flow `i`'s rate over the closed window; moves its baseline to its
+  /// current counter. Zero over an empty window. A flow that sent nothing
+  /// reads zero, which assess_deadlock_risk treats as greedy: the
+  /// conservative reading for a flow that may be paused, not idle.
+  Rate rate(const Network& net, const FlowSpec& flow, std::size_t i);
+
+ private:
+  std::vector<std::int64_t> sent_;  ///< per flow, at its baseline
+  Time at_ = Time::zero();
+  Time window_ = Time::zero();
+};
 
 }  // namespace dcdl::analysis

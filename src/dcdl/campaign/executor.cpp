@@ -100,8 +100,7 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     // instant a deadlock is confirmed).
     std::unique_ptr<telemetry::FlightRecorder> recorder;
     if (!opts.trace_dir.empty()) {
-      recorder = std::make_unique<telemetry::FlightRecorder>(
-          opts.trace_capacity);
+      recorder = std::make_unique<telemetry::FlightRecorder>();
       recorder->attach(*s.net);
     }
     ScenarioDef::Finisher finish;
@@ -126,10 +125,7 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     // series are byte-identical across --jobs and --shards. Its sampler
     // events are part of the canonical stream — events_executed includes
     // them for every shard count alike.
-    probe::ProbeOptions probe_opts;
-    probe_opts.interval = opts.probe_interval;
-    probe_opts.capacity = opts.probe_capacity;
-    probe::RunProbe run_probe(*s.net, probe_opts);
+    probe::RunProbe run_probe(*s.net, opts.probe_interval);
     if (hybrid_ctl != nullptr) {
       run_probe.add_gauge_series(
           "hybrid.fluid_flows", [ctl = hybrid_ctl.get()] {
@@ -182,11 +178,9 @@ RunRecord execute_run(const ScenarioRegistry& registry, const RunSpec& spec,
     std::string post_mortem;
     if (recorder != nullptr) {
       monitor.set_on_confirmed(
-          [&post_mortem, &recorder, &opts, &s](
-              const analysis::DeadlockMonitor& m) {
+          [&post_mortem, &recorder, &s](const analysis::DeadlockMonitor& m) {
             post_mortem = telemetry::post_mortem_jsonl(
-                *s.topo, *recorder, m.cycle(), *m.detected_at(),
-                opts.post_mortem_window);
+                *s.topo, *recorder, m.cycle(), *m.detected_at());
           });
     }
     const Time start = sim->now();
@@ -355,7 +349,6 @@ CampaignResult CampaignExecutor::run(const std::vector<RunSpec>& specs,
   if (static_cast<std::size_t>(jobs) > specs.size()) {
     jobs = static_cast<int>(specs.size());
   }
-  effective_jobs_ = jobs;
   result.jobs = jobs;
 
   const auto wall0 = std::chrono::steady_clock::now();

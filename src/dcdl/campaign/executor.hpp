@@ -21,6 +21,7 @@
 #include "dcdl/campaign/result.hpp"
 #include "dcdl/forensics/causality.hpp"
 #include "dcdl/hybrid/hybrid.hpp"
+#include "dcdl/probe/probe.hpp"
 #include "dcdl/watch/watch.hpp"
 
 namespace dcdl::campaign {
@@ -54,11 +55,7 @@ struct ExecutorOptions {
   /// across --jobs and --shards. Every ok record carries the probe summary
   /// (schema v5); with trace_dir set, each run additionally writes
   /// `run_NNNNN.timeseries.jsonl` and `run_NNNNN.counters.json`.
-  Time probe_interval = Time{100'000'000};  // 100 us
-  /// Ring capacity (ticks) of each run's time-series store. At the default
-  /// 100 us interval this covers 409.6 ms of history — longer runs keep the
-  /// most recent window and report dropped_ticks in the artifact header.
-  std::size_t probe_capacity = 1u << 12;
+  Time probe_interval = probe::kSampleInterval;
   /// Early-warning watcher configuration (dcdl::watch). Like the probe it
   /// is always on and rides the externally visible simulator, so the alert
   /// stream is byte-identical across --jobs and --shards. Every ok
@@ -81,12 +78,9 @@ struct ExecutorOptions {
   ///   `run_NNNNN.alerts.perfetto.json`  alert instants for the timeline
   /// A run whose deadlock monitor confirms a cycle additionally writes
   /// `run_NNNNN.postmortem.jsonl` with the last-events window captured at
-  /// the detection instant.
+  /// the detection instant. The recorder keeps FlightRecorder's default
+  /// ring; the post-mortem holds telemetry::kPostMortemWindow records.
   std::string trace_dir;
-  /// Flight-recorder ring capacity (records) when trace_dir is set.
-  std::size_t trace_capacity = 1u << 16;
-  /// Records in a deadlock post-mortem dump.
-  std::size_t post_mortem_window = 4096;
 };
 
 /// What a run computes but its record does not serialize, for a front end
@@ -132,15 +126,10 @@ class CampaignExecutor {
   /// cancelled; queued runs are not started.
   void cancel() { cancel_.store(true, std::memory_order_relaxed); }
 
-  /// The job count run() resolved to (after the hardware default and the
-  /// spec-count clamp).
-  int effective_jobs() const { return effective_jobs_; }
-
  private:
   const ScenarioRegistry& registry_;
   ExecutorOptions opts_;
   std::atomic<bool> cancel_{false};
-  int effective_jobs_ = 1;
 };
 
 }  // namespace dcdl::campaign

@@ -19,7 +19,7 @@
 //  2. DETECT — a switch receiving a PAUSE whose tag names *itself* as
 //     origin has local proof of a cycle: a pause chain it started has come
 //     back to freeze one of its own egress queues. It becomes a
-//     *candidate* and waits `confirm_dwell`; if the origin counter is
+//     *candidate* and waits kConfirmDwell; if the origin counter is
 //     still asserting Xoff with zero departures in the window, the cycle
 //     is *confirmed* (a draining transient — TTL expiry, self-resolving
 //     cascade — fails this check and is traced as a false alarm).
@@ -27,9 +27,12 @@
 //  3. RECOVER — a pluggable policy breaks the cycle at the detecting
 //     switch: drop the frozen queues' packets (kDrop), install routing
 //     detours and re-queue around the cycle (kReroute), or ignore the
-//     received PAUSE for one lift window (kPfcLift). The stage then
-//     disarms for `cooldown` and re-arms, so a second deadlock in the same
-//     run is caught again.
+//     received PAUSE for kLiftWindow (kPfcLift). The stage then disarms
+//     for kCooldown and re-arms, so a second deadlock in the same run is
+//     caught again.
+//
+// The recovery policy is the only setting; the three timings below are
+// constants.
 //
 // Everything here is deliberately free of Switch/Network dependencies: the
 // Pipeline is a pure per-switch state machine over (tags, counters,
@@ -62,21 +65,21 @@ const char* to_string(RecoveryPolicy p);
 /// Returns false (and leaves `out` untouched) on anything else.
 bool parse_policy(const std::string& s, RecoveryPolicy* out);
 
+/// Candidate-to-confirmed dwell: the origin counter must stay Xoff with
+/// zero departures this long. Long enough to outlive TTL-drain transients,
+/// short next to the centralized monitor's poll+dwell.
+inline constexpr Time kConfirmDwell{200'000'000};  // 200 us
+/// After a recovery action the stage disarms this long before re-arming
+/// (lets the unwinding cascade drain without re-triggering). Kept well
+/// under the centralized monitor's dwell: when the underlying congestion
+/// persists the wedge re-forms within a few hundred us, and the pipeline
+/// must be back in the fight before the watchdog would call it a deadlock.
+inline constexpr Time kCooldown{500'000'000};  // 500 us
+/// kPfcLift: how long received PAUSE is ignored on the frozen egress.
+inline constexpr Time kLiftWindow{500'000'000};  // 500 us
+
 struct DataplaneConfig {
   RecoveryPolicy policy = RecoveryPolicy::kOff;
-  /// Candidate-to-confirmed dwell: the origin counter must stay Xoff with
-  /// zero departures this long. Long enough to outlive TTL-drain
-  /// transients, short next to the centralized monitor's poll+dwell.
-  Time confirm_dwell = Time{200'000'000};  // 200 us
-  /// After a recovery action the stage disarms this long before re-arming
-  /// (lets the unwinding cascade drain without re-triggering).
-  /// Disarm window after a recovery action. Kept well under the
-  /// centralized monitor's dwell: when the underlying congestion persists
-  /// the wedge re-forms within a few hundred us, and the pipeline must be
-  /// back in the fight before the watchdog would call it a deadlock.
-  Time cooldown = Time{500'000'000};  // 500 us
-  /// kPfcLift: how long received PAUSE is ignored on the frozen egress.
-  Time pfc_lift = Time{500'000'000};  // 500 us
 
   bool enabled() const { return policy != RecoveryPolicy::kOff; }
 };

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "dcdl/common/flags.hpp"
-#include "dcdl/common/log.hpp"
 #include "dcdl/common/rng.hpp"
 #include "dcdl/common/units.hpp"
 

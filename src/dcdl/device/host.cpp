@@ -50,13 +50,6 @@ void Host::hold_flow(FlowId flow, bool held) {
   }
 }
 
-bool Host::flow_held(FlowId flow) const {
-  for (const auto& f : flows_) {
-    if (f.spec.id == flow) return f.held;
-  }
-  return false;
-}
-
 void Host::credit_delivery(FlowId flow, std::int64_t bytes,
                            std::uint64_t packets) {
   auto& s = delivered_.at_or_insert(flow);

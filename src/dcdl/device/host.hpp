@@ -46,7 +46,6 @@ class Host final : public Device {
   /// scheduler immediately, with the original pacer deciding the next
   /// departure.
   void hold_flow(FlowId flow, bool held);
-  bool flow_held(FlowId flow) const;
 
   /// Accounts `bytes`/`packets` of `flow` as delivered at this host
   /// without any packet existing (hybrid boundary adapter: fluid-region

@@ -467,7 +467,7 @@ void Switch::dp_on_own_tag(PortId port, ClassId cls,
     net_.trace().dataplane(now(), id_, dataplane::DataplaneEvent::kCandidate,
                            tag.origin_cls, tag.hops);
   }
-  schedule_in(dp_->config().confirm_dwell, [this] { dp_resolve_candidate(); });
+  schedule_in(dataplane::kConfirmDwell, [this] { dp_resolve_candidate(); });
 }
 
 void Switch::dp_resolve_candidate() {
@@ -489,7 +489,7 @@ void Switch::dp_resolve_candidate() {
     case Verdict::kRetry:
       // Still asserted, still draining: the cycle may be hardening with no
       // new pause edge to bring the tag back — keep watching this one.
-      schedule_in(dp_->config().confirm_dwell,
+      schedule_in(dataplane::kConfirmDwell,
                   [this] { dp_resolve_candidate(); });
       return;
     case Verdict::kConfirmed:
@@ -521,7 +521,7 @@ void Switch::dp_recover(const dataplane::PauseTag& tag) {
           acted += dp_reroute_queue(e, c2id);
           break;
         case RecoveryPolicy::kPfcLift:
-          ignore_pause_until(e, c2id, now + dp_->config().pfc_lift);
+          ignore_pause_until(e, c2id, now + dataplane::kLiftWindow);
           ++acted;
           break;
         default:
@@ -534,7 +534,7 @@ void Switch::dp_recover(const dataplane::PauseTag& tag) {
     net_.trace().dataplane(now, id_, dataplane::DataplaneEvent::kRecovered,
                            tag.origin_cls, acted);
   }
-  schedule_in(dp_->config().cooldown, [this] {
+  schedule_in(dataplane::kCooldown, [this] {
     if (dp_ == nullptr || dp_->armed()) return;
     dp_->rearm();
     if (net_.trace().dataplane) {

@@ -128,7 +128,6 @@ class Switch final : public Device {
   bool pause_asserted(PortId port, ClassId cls) const;
   /// True if the downstream device paused this egress queue.
   bool egress_paused(PortId port, ClassId cls) const;
-  bool egress_busy(PortId port) const { return egress_.at(port).busy; }
   std::int64_t egress_queue_bytes(PortId port, ClassId cls) const;
   /// Bytes in egress queue (port, cls) attributed to ingress counter
   /// (in_port, in_cls) — used by the deadlock detector's frozen-set

@@ -4,7 +4,6 @@
 #include <map>
 #include <span>
 
-#include "dcdl/common/contract.hpp"
 #include "dcdl/device/host.hpp"
 #include "dcdl/device/switch.hpp"
 #include "dcdl/probe/profiler.hpp"
@@ -29,6 +28,17 @@ std::optional<Mode> parse_mode(const std::string& s) {
 
 namespace {
 
+/// A region escalates to packet level when any ingress counter in it
+/// reaches this fraction of Xoff.
+constexpr double kZoomXoffFraction = 0.5;
+/// A region de-escalates after all its counters stayed below Xon this long
+/// (hysteresis: flapping regions stay packet).
+constexpr Time kCooldown{1'000'000'000};  // 1 ms
+/// Fluid integration step and controller cadence.
+constexpr Time kFluidDt{100'000'000};  // 100 us
+/// Risk mode: reassess every this many fluid steps.
+constexpr std::uint64_t kRiskEvery = 10;
+
 /// Union-find over flow indices for the fluid-component grouping.
 struct UnionFind {
   std::vector<std::size_t> parent;
@@ -52,16 +62,13 @@ HybridController::HybridController(Network& net, std::vector<FlowSpec> flows,
                                    HybridConfig cfg)
     : net_(net),
       flows_(std::move(flows)),
-      cfg_(cfg),
+      mode_(cfg.mode),
+      // One request per switch: assign_shards yields its structural
+      // maximum (per-pod on fat-trees, per-switch on rings and meshes).
       regions_(topo::assign_shards(
           net.topo(),
-          cfg.regions > 0
-              ? cfg.regions
-              : std::max<int>(
-                    1, static_cast<int>(net.topo().switches().size())))) {
-  if (cfg_.mode == Mode::kOff) return;
-  DCDL_EXPECTS(cfg_.fluid_dt > Time::zero());
-  DCDL_EXPECTS(cfg_.zoom_xoff_fraction > 0.0);
+          std::max<int>(1, static_cast<int>(net.topo().switches().size())))) {
+  if (mode_ == Mode::kOff) return;
   region_.assign(static_cast<std::size_t>(regions_.num_shards), Region{});
   switches_ = net_.topo().switches();
   eligible_.assign(flows_.size(), 0);
@@ -71,8 +78,7 @@ HybridController::HybridController(Network& net, std::vector<FlowSpec> flows,
   want_.assign(flows_.size(), 0);
   packet_link_.assign(net_.topo().link_count(), 0);
   region_occ_.assign(region_.size(), 0);
-  prev_sent_.assign(flows_.size(), 0);
-  prev_measure_at_ = net_.sim().now();
+  sent_rates_.reset(net_, flows_, net_.sim().now());
   last_step_ = net_.sim().now();
 
   // Static per-flow eligibility: open-loop CBR-like flows that run for the
@@ -99,10 +105,6 @@ int HybridController::region_of(NodeId node) const {
 
 bool HybridController::region_packet(int r) const {
   return region_.at(static_cast<std::size_t>(r)).packet;
-}
-
-bool HybridController::region_pinned(int r) const {
-  return region_.at(static_cast<std::size_t>(r)).pinned;
 }
 
 bool HybridController::flow_fluid(FlowId flow) const {
@@ -211,8 +213,7 @@ void HybridController::scan_regions(Time now) {
     }
   }
   const auto escalate_at = static_cast<std::int64_t>(
-      cfg_.zoom_xoff_fraction *
-      static_cast<double>(net_.config().pfc.xoff_bytes));
+      kZoomXoffFraction * static_cast<double>(net_.config().pfc.xoff_bytes));
   const std::int64_t xon = net_.config().pfc.xon_bytes;
   for (std::size_t r = 0; r < region_.size(); ++r) {
     Region& rg = region_[r];
@@ -224,7 +225,7 @@ void HybridController::scan_regions(Time now) {
       if (occ[r] < xon) {
         if (rg.below_xon_since == Time::max()) {
           rg.below_xon_since = now;
-        } else if (now - rg.below_xon_since >= cfg_.cooldown) {
+        } else if (now - rg.below_xon_since >= kCooldown) {
           set_region_packet(now, static_cast<int>(r), false);
         }
       } else {
@@ -244,7 +245,7 @@ void HybridController::update_blocked() {
                    topo.peer(path.back().node, path.back().port).peer_node !=
                        flows_[i].dst_host;
     for (std::size_t j = 0; !blocked && j < path.size(); ++j) {
-      blocked = report_.utilization[path[j].channel] >= cfg_.saturation;
+      blocked = report_.utilization[path[j].channel] >= analysis::kSaturated;
     }
     blocked_[i] = blocked ? 1 : 0;
   }
@@ -360,38 +361,29 @@ void HybridController::rebuild_models() {
     inst.flow_of.push_back(i);
     inst.model.add_flow(std::move(ff));
   }
-  for (FluidInstance& inst : models_) inst.model.begin(cfg_.fluid_dt);
+  for (FluidInstance& inst : models_) inst.model.begin(kFluidDt);
 }
 
 std::vector<Rate> HybridController::measured_rates(Time now) {
-  std::vector<Rate> r(flows_.size(), Rate::zero());
-  const Time elapsed = now - prev_measure_at_;
+  std::vector<Rate> r(flows_.size());
+  sent_rates_.close_window(now);
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Host& host = net_.host_at(flows_[i].src_host);
     if (fluid_[i] != 0) {
-      // A held flow injects nothing; its demand is its pacer rate.
-      Pacer* p = host.pacer(flows_[i].id);
+      // A held flow injects nothing; its demand is its pacer rate, and its
+      // baseline stays where it was.
+      Pacer* p = net_.host_at(flows_[i].src_host).pacer(flows_[i].id);
       r[i] = p != nullptr ? p->current_rate().value_or(Rate::zero())
                           : Rate::zero();
       continue;
     }
-    const std::int64_t sent = host.sent_bytes(flows_[i].id);
-    if (elapsed > Time::zero()) {
-      const double bps = static_cast<double>(sent - prev_sent_[i]) * 8.0 *
-                         1e12 / static_cast<double>(elapsed.ps());
-      // Zero means "treat as greedy" downstream, which is the conservative
-      // reading for a flow that sent nothing (it may be paused, not idle).
-      r[i] = Rate{static_cast<std::int64_t>(bps)};
-    }
-    prev_sent_[i] = sent;
+    r[i] = sent_rates_.rate(net_, flows_[i], i);
   }
-  prev_measure_at_ = now;
   return r;
 }
 
 void HybridController::schedule_next() {
-  pending_ = net_.sim().schedule_at(last_step_ + cfg_.fluid_dt,
-                                    [this] { step(); });
+  pending_ =
+      net_.sim().schedule_at(last_step_ + kFluidDt, [this] { step(); });
   armed_ = true;
 }
 
@@ -422,7 +414,7 @@ void HybridController::step() {
     }
   }
   fluid_flowtime_ps_ += static_cast<double>(fluid_flows()) *
-                        static_cast<double>(cfg_.fluid_dt.ps());
+                        static_cast<double>(kFluidDt.ps());
   last_step_ = now;
 
   // 2. Zoom: occupancy scan + hysteresis.
@@ -430,8 +422,7 @@ void HybridController::step() {
 
   // 3. Risk mode: periodic online reassessment over the *live* routes (so
   //    loops that form mid-run surface) with measured rates as demands.
-  if (cfg_.mode == Mode::kRisk && cfg_.risk_every > 0 &&
-      stats_.steps % static_cast<std::uint64_t>(cfg_.risk_every) == 0) {
+  if (mode_ == Mode::kRisk && stats_.steps % kRiskEvery == 0) {
     reassess(measured_rates(now));
   }
 
@@ -441,7 +432,7 @@ void HybridController::step() {
 }
 
 void HybridController::finalize() {
-  if (stopped_ || cfg_.mode == Mode::kOff) {
+  if (stopped_ || mode_ == Mode::kOff) {
     stopped_ = true;
     return;
   }

@@ -23,7 +23,7 @@
 //   2. it is open-loop CBR-like (a rate-based pacer; greedy, ECN/TIMELY
 //      controlled, or windowed flows stay packet),
 //   3. it runs for the whole simulation (start == 0, stop == inf),
-//   4. every channel it crosses sits below the saturation threshold under
+//   4. every channel it crosses sits below analysis::kSaturated under
 //      stable-state analysis (RiskReport::utilization, over the stable
 //      rates of the same assessment),
 //   5. its path is link-disjoint from every packet-level flow (computed to
@@ -38,21 +38,25 @@
 // all of its packet events.
 //
 // Zoom is dynamic and hysteretic: a region escalates to packet level when
-// any of its ingress counters crosses zoom_xoff_fraction * Xoff or when
-// risk analysis pins a dependency cycle through it; it de-escalates after
-// its counters have stayed below Xon for a cooldown. All controller work
-// runs as control-simulator events (these fire at window barriers where
-// devices are frozen), so escalation decisions — and with
+// any of its ingress counters reaches kZoomXoffFraction (0.5) of Xoff or
+// when risk analysis pins a dependency cycle through it; it de-escalates
+// after its counters have stayed below Xon for kCooldown (1 ms). Regions
+// come from one assign_shards request per switch: per-pod on fat-trees,
+// per-switch on rings and meshes. All controller work runs as
+// control-simulator events every kFluidDt (100 us; these fire at window
+// barriers where devices are frozen), so escalation decisions — and with
 // them every observable byte — are identical across --jobs and --shards.
+// The constants live in hybrid.cpp.
 //
 // Cost of one controller step: each fluid component's allocation-free
 // FluidModel::step, the per-region occupancy scan, and the fluid-set
 // check, which reads per-flow blocked flags (rules 1 and 4 plus a route
 // that misses its destination) derived only at construction and at each
 // reassessment. Between reassessments a step allocates nothing unless the
-// fluid set changes; every risk_every-th step in risk mode adds one
+// fluid set changes; every kRiskEvery-th (10th) step in risk mode adds one
 // assessment (one walk of every route, one SCC pass, one stable-rate
-// filling) whose walk and utilization give the geometry, flags and pins.
+// filling, with the rates an analysis::SentRateMeter measures) whose walk
+// and utilization give the geometry, flags and pins.
 #pragma once
 
 #include <cstdint>
@@ -80,23 +84,6 @@ std::optional<Mode> parse_mode(const std::string& s);
 
 struct HybridConfig {
   Mode mode = Mode::kOff;
-  /// A region escalates to packet level when any ingress counter in it
-  /// reaches this fraction of Xoff.
-  double zoom_xoff_fraction = 0.5;
-  /// A region de-escalates after all its counters stayed below Xon this
-  /// long (hysteresis: flapping regions stay packet).
-  Time cooldown = Time{1'000'000'000};  // 1 ms
-  /// Fluid integration step and controller cadence.
-  Time fluid_dt = Time{100'000'000};  // 100 us
-  /// Risk mode: reassess every this many fluid steps.
-  int risk_every = 10;
-  /// Stable-utilization ceiling for fluidization (matches risk.hpp's
-  /// saturation threshold).
-  double saturation = 0.95;
-  /// Requested region count; 0 = one request per switch (assign_shards
-  /// then yields its structural maximum: per-pod on fat-trees, per-switch
-  /// on rings/meshes).
-  int regions = 0;
 };
 
 struct HybridStats {
@@ -129,13 +116,11 @@ class HybridController {
   /// (fluid_fraction). Idempotent; implied by the destructor.
   void finalize();
 
-  const HybridConfig& config() const { return cfg_; }
   const HybridStats& stats() const { return stats_; }
   const analysis::RiskReport& risk() const { return report_; }
 
   int num_regions() const { return regions_.num_shards; }
   bool region_packet(int r) const;
-  bool region_pinned(int r) const;
   /// Region of a node under the zoom partition.
   int region_of(NodeId node) const;
 
@@ -189,7 +174,7 @@ class HybridController {
 
   Network& net_;
   std::vector<FlowSpec> flows_;
-  HybridConfig cfg_;
+  Mode mode_;
   topo::ShardPlan regions_;
   std::vector<Region> region_;
   /// The last assessment; its walk gives every flow's path.
@@ -216,8 +201,7 @@ class HybridController {
   HybridStats stats_;
   double fluid_flowtime_ps_ = 0;  ///< sum of fluid-flow count * dt
   Time last_step_ = Time::zero();
-  std::vector<std::int64_t> prev_sent_;  ///< for measured_rates
-  Time prev_measure_at_ = Time::zero();
+  analysis::SentRateMeter sent_rates_;  ///< packet flows' measured rates
   EventId pending_{};
   bool armed_ = false;
   bool stopped_ = false;

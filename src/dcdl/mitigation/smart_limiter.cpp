@@ -11,7 +11,7 @@ namespace dcdl::mitigation {
 
 namespace {
 using Channel = std::pair<NodeId, PortId>;
-constexpr double kSaturated = 0.95;
+using analysis::kSaturated;
 }  // namespace
 
 RateLimitPlan plan_rate_limits(const Network& net,

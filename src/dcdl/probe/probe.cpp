@@ -8,6 +8,9 @@ namespace dcdl::probe {
 
 namespace {
 
+/// Topologies with more directed channels than this keep `util.max` only.
+constexpr std::size_t kMaxUtilSeries = 128;
+
 std::string channel_name(const Topology& topo, NodeId node, PortId port) {
   const NodeSpec& spec = topo.node(node);
   std::string base =
@@ -17,8 +20,8 @@ std::string channel_name(const Topology& topo, NodeId node, PortId port) {
 
 }  // namespace
 
-RunProbe::RunProbe(Network& net, ProbeOptions opts)
-    : net_(net), opts_(opts), series_(opts.capacity) {
+RunProbe::RunProbe(Network& net, Time interval)
+    : net_(net), interval_(interval) {
   const Topology& topo = net_.topo();
 
   // Dense (node, egress port) -> channel index table.
@@ -46,7 +49,7 @@ RunProbe::RunProbe(Network& net, ProbeOptions opts)
   active_pauses_id_ = series_.add("pfc.active_pauses");
   paused_frac_id_ = series_.add("pfc.paused_frac");
   util_max_id_ = series_.add("util.max");
-  if (channels <= opts_.max_util_series) {
+  if (channels <= kMaxUtilSeries) {
     util_ids_.reserve(channels);
     for (std::size_t n = 0; n < topo.node_count(); ++n) {
       const NodeId node = static_cast<NodeId>(n);
@@ -141,7 +144,7 @@ void RunProbe::start(Simulator& sim, Time until) {
     }
   }
   sampler_ = std::make_unique<IntervalSampler>(
-      sim, opts_.interval, [this](Time t) { tick(t); });
+      sim, interval_, [this](Time t) { tick(t); });
   sampler_->start(until);
 }
 

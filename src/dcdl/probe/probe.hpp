@@ -2,14 +2,16 @@
 //
 // RunProbe bundles three instruments over one run:
 //
-//   * An IntervalSampler (default 100 us, configurable) scheduled on the
-//     scenario's externally visible simulator — the engine's control
-//     simulator, whose events execute at window barriers after every
-//     device observation up to the barrier has reached the hooks in
-//     (time, channel, sequence) order — so every sampled value is a pure
-//     function of the scenario, and the resulting series are
-//     byte-identical across --jobs x --shards. Samples land in a
-//     ring-buffered SeriesStore.
+//   * An IntervalSampler (kSampleInterval, 100 us, unless the caller
+//     passes another interval) scheduled on the scenario's externally
+//     visible simulator — the engine's control simulator, whose events
+//     execute at window barriers after every device observation up to the
+//     barrier has reached the hooks in (time, channel, sequence) order — so
+//     every sampled value is a pure function of the scenario, and the
+//     resulting series are byte-identical across --jobs x --shards.
+//     Samples land in a ring-buffered SeriesStore (its default 4096 rows:
+//     409.6 ms of history at 100 us; longer runs keep the most recent
+//     window and report dropped_ticks in the artifact header).
 //
 //   * Log-bucketed LogHistograms fed from trace hooks: flow completion
 //     time, per-packet sojourn, per-hop queuing delay (the new
@@ -22,7 +24,10 @@
 //     probe adds no per-transmission hook cost); delivered bytes and the
 //     active-pause count plus its time integral (mean simultaneous pauses
 //     per interval — the cascade-growth trajectory the paper's Section 2
-//     narrates) come from the endpoint-rate trace hooks.
+//     narrates) come from the endpoint-rate trace hooks. A topology with
+//     at most 128 directed channels gets one `util.<node>:<port>` series
+//     per channel; a larger one keeps the aggregate `util.max` only, so
+//     artifact width stays bounded.
 //
 // The wall-clock self-profiler lives separately in probe/profiler.hpp;
 // its output is nondeterministic and never mixes with these artifacts.
@@ -44,16 +49,9 @@
 
 namespace dcdl::probe {
 
-struct ProbeOptions {
-  /// Sampling interval; ticks fire at start + k * interval.
-  Time interval = Time{100'000'000};  // 100 us
-  /// Retained ticks per series (ring; oldest evicted beyond this).
-  std::size_t capacity = 1u << 12;
-  /// Per-channel utilization series are emitted only when the topology has
-  /// at most this many directed channels; larger fabrics keep the
-  /// aggregate `util.max` series only, so artifact width stays bounded.
-  std::size_t max_util_series = 128;
-};
+/// Default sampling interval of the probe and the watch (dcdl_sim's and
+/// dcdl_sweep's --probe_us default, ExecutorOptions::probe_interval's).
+inline constexpr Time kSampleInterval{100'000'000};  // 100 us
 
 /// One recurring sim-time callback: fires at now + interval, re-arming
 /// itself until `until` (inclusive). Scheduling on a network's control
@@ -88,7 +86,8 @@ class RunProbe {
  public:
   /// Chains observers onto `net`'s trace hooks; the probe must outlive the
   /// network's dispatches. Construct after the network, before the run.
-  explicit RunProbe(Network& net, ProbeOptions opts = {});
+  /// Ticks fire at start + k * interval.
+  explicit RunProbe(Network& net, Time interval = kSampleInterval);
   RunProbe(const RunProbe&) = delete;
   RunProbe& operator=(const RunProbe&) = delete;
 
@@ -107,7 +106,7 @@ class RunProbe {
   void finalize();
 
   const SeriesStore& series() const { return series_; }
-  Time interval() const { return opts_.interval; }
+  Time interval() const { return interval_; }
   Time start_time() const { return start_; }
 
   const LogHistogram& fct() const { return fct_; }
@@ -141,7 +140,7 @@ class RunProbe {
   }
 
   Network& net_;
-  ProbeOptions opts_;
+  Time interval_;
   Simulator* sim_ = nullptr;
   std::unique_ptr<IntervalSampler> sampler_;
   Time start_ = Time::zero();

@@ -22,6 +22,8 @@ namespace dcdl::probe {
 
 class SeriesStore {
  public:
+  /// Retains the newest `capacity` rows (at least one). Every RunProbe
+  /// keeps the default.
   explicit SeriesStore(std::size_t capacity = 1u << 12)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 

@@ -4,7 +4,6 @@
 
 #include "dcdl/common/contract.hpp"
 #include "dcdl/device/switch.hpp"
-#include "dcdl/routing/compute.hpp"
 
 namespace dcdl::routing {
 
@@ -162,11 +161,6 @@ void BgpFabric::restore_link(std::uint32_t link) {
       send(sw, port, adv);
     }
   }
-}
-
-std::optional<std::vector<NodeId>> BgpFabric::find_loop(const Network& net,
-                                                        NodeId dst) {
-  return find_forwarding_loop(net, dst);
 }
 
 }  // namespace dcdl::routing

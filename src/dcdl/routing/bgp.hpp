@@ -62,11 +62,6 @@ class BgpFabric {
 
   std::uint64_t messages_sent() const { return messages_sent_; }
 
-  /// Walks the installed tables: returns a forwarding loop (switch cycle)
-  /// for `dst` if one currently exists.
-  static std::optional<std::vector<NodeId>> find_loop(const Network& net,
-                                                      NodeId dst);
-
  private:
   struct Advertisement {
     NodeId dst;

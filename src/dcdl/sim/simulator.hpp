@@ -149,7 +149,6 @@ class Simulator {
   }
 
   void set_run_delegate(RunDelegate* d) { delegate_ = d; }
-  bool stop_requested() const { return stopped_; }
   void clear_stop() { stopped_ = false; }
 
   /// Ordering key of the event currently executing (valid inside a

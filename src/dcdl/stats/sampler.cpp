@@ -50,13 +50,4 @@ std::int64_t OccupancySampler::min_bytes_after(std::size_t target_index,
   return best == std::numeric_limits<std::int64_t>::max() ? 0 : best;
 }
 
-std::int64_t OccupancySampler::max_bytes_after(std::size_t target_index,
-                                               Time from) const {
-  std::int64_t best = 0;
-  for (const auto& p : series_.at(target_index)) {
-    if (p.t >= from) best = std::max(best, p.bytes);
-  }
-  return best;
-}
-
 }  // namespace dcdl::stats

@@ -47,7 +47,6 @@ class OccupancySampler {
 
   std::int64_t max_bytes(std::size_t target_index) const;
   std::int64_t min_bytes_after(std::size_t target_index, Time from) const;
-  std::int64_t max_bytes_after(std::size_t target_index, Time from) const;
 
  private:
   void sample(Time now);

@@ -82,7 +82,7 @@ std::string to_perfetto_json(const Topology& topo,
     const int tid = tid_of(r.port, r.cls);
     if (tid != 0) threads[{r.node, tid}] = {r.port, r.cls};
   }
-  if (any_region && opts.region_counters) {
+  if (any_region) {
     comma();
     appendf(out,
             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
@@ -115,7 +115,6 @@ std::string to_perfetto_json(const Topology& topo,
     const int tid = tid_of(r.port, r.cls);
     switch (r.kind) {
       case RecordKind::kPfcXoff:
-        if (!opts.pause_spans) break;
         if (open_pauses.emplace(std::make_pair(r.node, tid), r.t_ps)
                 .second) {
           comma();
@@ -128,17 +127,14 @@ std::string to_perfetto_json(const Topology& topo,
         }
         break;
       case RecordKind::kPfcXon:
-        if (opts.pause_spans) {
-          // A window that starts mid-pause sees an Xon with no open span;
-          // skip it rather than emit an unbalanced E.
-          if (open_pauses.erase({r.node, tid}) > 0) {
-            comma();
-            appendf(out,
-                    "{\"ph\":\"E\",\"pid\":%u,\"tid\":%d,\"ts\":", r.node,
-                    tid);
-            append_ts(out, r.t_ps);
-            out += '}';
-          }
+        // A window that starts mid-pause sees an Xon with no open span;
+        // skip it rather than emit an unbalanced E.
+        if (open_pauses.erase({r.node, tid}) > 0) {
+          comma();
+          appendf(out, "{\"ph\":\"E\",\"pid\":%u,\"tid\":%d,\"ts\":",
+                  r.node, tid);
+          append_ts(out, r.t_ps);
+          out += '}';
         }
         if (opts.xon_instants) {
           comma();
@@ -151,7 +147,6 @@ std::string to_perfetto_json(const Topology& topo,
         }
         break;
       case RecordKind::kQueueBytes:
-        if (!opts.occupancy_counters) break;
         comma();
         appendf(out,
                 "{\"name\":\"ingress p%u/c%u bytes\",\"ph\":\"C\","
@@ -172,7 +167,6 @@ std::string to_perfetto_json(const Topology& topo,
                 r.bytes);
         break;
       case RecordKind::kCnp:
-        if (!opts.cnp_instants) break;
         comma();
         appendf(out,
                 "{\"name\":\"cnp\",\"cat\":\"cc\",\"ph\":\"i\",\"s\":\"g\","
@@ -182,30 +176,10 @@ std::string to_perfetto_json(const Topology& topo,
         appendf(out, ",\"args\":{\"flow\":%u}}", r.flow);
         break;
       case RecordKind::kDelivered:
-        if (!opts.delivered_instants) break;
-        comma();
-        appendf(out,
-                "{\"name\":\"delivered\",\"cat\":\"pkt\",\"ph\":\"i\","
-                "\"s\":\"p\",\"pid\":%u,\"tid\":0,\"ts\":",
-                r.node);
-        append_ts(out, r.t_ps);
-        appendf(out, ",\"args\":{\"flow\":%u,\"bytes\":%u}}", r.flow,
-                r.bytes);
-        break;
       case RecordKind::kTxStart:
-        if (!opts.tx_instants) break;
-        comma();
-        appendf(out,
-                "{\"name\":\"tx\",\"cat\":\"pkt\",\"ph\":\"i\",\"s\":\"t\","
-                "\"pid\":%u,\"tid\":%d,\"ts\":",
-                r.node, tid);
-        append_ts(out, r.t_ps);
-        appendf(out, ",\"args\":{\"flow\":%u,\"bytes\":%u}}", r.flow,
-                r.bytes);
-        break;
+        break;  // per-packet records do not render
       case RecordKind::kDataplaneDetect:
       case RecordKind::kDataplaneRecover:
-        if (!opts.dataplane_instants) break;
         comma();
         appendf(out,
                 "{\"name\":\"dataplane %s\",\"cat\":\"dataplane\","
@@ -217,7 +191,6 @@ std::string to_perfetto_json(const Topology& topo,
                 r.bytes);
         break;
       case RecordKind::kRegionState:
-        if (!opts.region_counters) break;
         comma();
         appendf(out,
                 "{\"name\":\"region %u level\",\"ph\":\"C\",\"pid\":%u,"
@@ -331,22 +304,24 @@ void append_topology_field(std::string& out, const Topology& topo) {
   out += "]}";
 }
 
-std::string jsonl_impl(const Topology* topo,
-                       const std::vector<TraceRecord>& records) {
+}  // namespace
+
+std::string to_jsonl(const Topology& topo,
+                     const std::vector<TraceRecord>& records) {
   std::string out;
   out.reserve(records.size() * 80 + 128);
   appendf(out, "{\"schema\":\"%s\",\"record_count\":%zu", kTelemetrySchema,
           records.size());
-  if (topo != nullptr) append_topology_field(out, *topo);
+  append_topology_field(out, topo);
   out += "}\n";
   for (const TraceRecord& r : records) append_record_jsonl(out, r);
   return out;
 }
 
-std::string post_mortem_impl(const Topology* topo,
-                             const FlightRecorder& recorder,
-                             const std::vector<stats::QueueKey>& cycle,
-                             Time detected_at, std::size_t window) {
+std::string post_mortem_jsonl(const Topology& topo,
+                              const FlightRecorder& recorder,
+                              const std::vector<stats::QueueKey>& cycle,
+                              Time detected_at, std::size_t window) {
   const std::vector<TraceRecord> records = recorder.last(window);
   std::string out;
   out.reserve(records.size() * 80 + 256);
@@ -361,34 +336,10 @@ std::string post_mortem_impl(const Topology* topo,
             i == 0 ? "" : ",", cycle[i].node, cycle[i].port, cycle[i].cls);
   }
   out += ']';
-  if (topo != nullptr) append_topology_field(out, *topo);
+  append_topology_field(out, topo);
   out += "}\n";
   for (const TraceRecord& r : records) append_record_jsonl(out, r);
   return out;
-}
-
-}  // namespace
-
-std::string to_jsonl(const std::vector<TraceRecord>& records) {
-  return jsonl_impl(nullptr, records);
-}
-
-std::string to_jsonl(const Topology& topo,
-                     const std::vector<TraceRecord>& records) {
-  return jsonl_impl(&topo, records);
-}
-
-std::string post_mortem_jsonl(const FlightRecorder& recorder,
-                              const std::vector<stats::QueueKey>& cycle,
-                              Time detected_at, std::size_t window) {
-  return post_mortem_impl(nullptr, recorder, cycle, detected_at, window);
-}
-
-std::string post_mortem_jsonl(const Topology& topo,
-                              const FlightRecorder& recorder,
-                              const std::vector<stats::QueueKey>& cycle,
-                              Time detected_at, std::size_t window) {
-  return post_mortem_impl(&topo, recorder, cycle, detected_at, window);
 }
 
 }  // namespace dcdl::telemetry

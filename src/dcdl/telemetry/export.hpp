@@ -4,9 +4,12 @@
 //    ui.perfetto.dev). Each switch renders as a process; each (port, class)
 //    ingress queue as a thread whose PFC pause is a span and whose
 //    occupancy is a counter track — the paper's Fig. 3 timelines,
-//    interactive.
+//    interactive. CNPs and dataplane milestones render as instants, hybrid
+//    zoom transitions as one counter per region; per-packet tx and
+//    delivery records do not render (they would dwarf everything else).
 //  - to_jsonl: the versioned `dcdl.telemetry.v1` line format — one header
-//    line, then one JSON object per record — for scripted analysis.
+//    line carrying the topology, then one JSON object per record — for
+//    scripted and offline causal analysis (`dcdl_forensics`).
 //  - post_mortem_jsonl: a JSONL dump whose header names the confirmed
 //    wait-for cycle, emitted when the deadlock detector fires.
 //
@@ -27,22 +30,11 @@ namespace dcdl::telemetry {
 inline constexpr const char* kTelemetrySchema = "dcdl.telemetry.v1";
 
 struct PerfettoOptions {
-  bool pause_spans = true;         ///< PFC Xoff..Xon as B/E span pairs
-  bool occupancy_counters = true;  ///< ingress counters as "C" tracks
-  bool drop_instants = true;       ///< incl. TTL expiry ("drop ttl_expired")
-  bool cnp_instants = true;
+  bool drop_instants = true;  ///< incl. TTL expiry ("drop ttl_expired")
   /// Explicit instant marker at every Xon, independent of the B/E span
   /// bookkeeping — a resume is visible even when the window opened
   /// mid-pause and the matching span begin was overwritten.
   bool xon_instants = true;
-  /// Per-packet instants; off by default (they dwarf everything else).
-  bool delivered_instants = false;
-  bool tx_instants = false;
-  /// In-switch pipeline milestones (candidate/confirmed/recovered/...).
-  bool dataplane_instants = true;
-  /// Hybrid engine region-state track: one counter per region under a
-  /// synthetic "hybrid regions" process (1 = packet level, 0 = fluid).
-  bool region_counters = true;
 };
 
 /// A cause -> effect arrow between two pause spans, rendered as a Chrome
@@ -69,23 +61,22 @@ std::string to_perfetto_json(const Topology& topo,
                              const PerfettoOptions& opts = {},
                              const std::vector<FlowArrow>& flows = {});
 
-/// `dcdl.telemetry.v1` JSONL: header line, then one object per record.
-std::string to_jsonl(const std::vector<TraceRecord>& records);
-/// Same, with the topology (nodes + links) embedded in the header so the
-/// dump is self-contained for offline causal analysis (`dcdl_forensics`).
-/// Additive: readers of the bare v1 format ignore the extra header field.
+/// `dcdl.telemetry.v1` JSONL: a header line with the topology (nodes +
+/// links) embedded, so the dump is self-contained for offline causal
+/// analysis (`dcdl_forensics`), then one object per record.
 std::string to_jsonl(const Topology& topo,
                      const std::vector<TraceRecord>& records);
 
+/// Records in a deadlock post-mortem dump (post_mortem_jsonl's window).
+inline constexpr std::size_t kPostMortemWindow = 4096;
+
 /// The deadlock post-mortem: the recorder's newest `window` records as
-/// JSONL, with the confirmed cycle and detection time in the header.
-std::string post_mortem_jsonl(const FlightRecorder& recorder,
-                              const std::vector<stats::QueueKey>& cycle,
-                              Time detected_at, std::size_t window = 4096);
-/// Topology-bearing post-mortem (offline-analyzable, like to_jsonl above).
+/// JSONL, with the confirmed cycle, detection time and topology in the
+/// header.
 std::string post_mortem_jsonl(const Topology& topo,
                               const FlightRecorder& recorder,
                               const std::vector<stats::QueueKey>& cycle,
-                              Time detected_at, std::size_t window = 4096);
+                              Time detected_at,
+                              std::size_t window = kPostMortemWindow);
 
 }  // namespace dcdl::telemetry

@@ -37,122 +37,106 @@ FlightRecorder::FlightRecorder(std::size_t capacity) {
   mask_ = ring_.size() - 1;
 }
 
-void FlightRecorder::attach(Network& net, const AttachOptions& opts) {
+void FlightRecorder::attach(Network& net) {
   Trace& t = net.trace();
-  if (opts.pfc) {
-    stats::append_hook(
-        t.pfc_state,
-        [this](Time at, NodeId node, PortId port, ClassId cls, bool paused) {
-          TraceRecord r;
-          r.t_ps = at.ps();
-          r.node = node;
-          r.port = port;
-          r.cls = cls;
-          r.kind = paused ? RecordKind::kPfcXoff : RecordKind::kPfcXon;
-          record(r);
-        });
-  }
-  if (opts.tx_start) {
-    stats::append_hook(
-        t.tx_start,
-        [this](Time at, const Packet& pkt, NodeId node, PortId port) {
-          TraceRecord r;
-          r.t_ps = at.ps();
-          r.node = node;
-          r.flow = pkt.flow;
-          r.bytes = pkt.size_bytes;
-          r.port = port;
-          r.cls = pkt.prio;
-          r.kind = RecordKind::kTxStart;
-          record(r);
-        });
-  }
-  if (opts.delivered) {
-    stats::append_hook(t.delivered, [this](Time at, const Packet& pkt) {
-      TraceRecord r;
-      r.t_ps = at.ps();
-      r.node = pkt.dst;
-      r.flow = pkt.flow;
-      r.bytes = pkt.size_bytes;
-      r.port = kInvalidPort;
-      r.cls = pkt.prio;
-      r.kind = RecordKind::kDelivered;
-      record(r);
-    });
-  }
-  if (opts.dropped) {
-    stats::append_hook(
-        t.dropped,
-        [this](Time at, const Packet& pkt, NodeId node, DropReason reason) {
-          TraceRecord r;
-          r.t_ps = at.ps();
-          r.node = node;
-          r.flow = pkt.flow;
-          r.bytes = pkt.size_bytes;
-          r.port = kInvalidPort;
-          r.cls = pkt.prio;
-          r.kind = RecordKind::kDropped;
-          r.reason = static_cast<std::uint8_t>(reason);
-          record(r);
-        });
-  }
-  if (opts.cnp) {
-    stats::append_hook(t.cnp, [this](Time at, FlowId flow) {
-      TraceRecord r;
-      r.t_ps = at.ps();
-      r.flow = flow;
-      r.port = kInvalidPort;
-      r.kind = RecordKind::kCnp;
-      record(r);
-    });
-  }
-  if (opts.queue_bytes) {
-    stats::append_hook(
-        t.queue_bytes,
-        [this](Time at, NodeId node, PortId port, ClassId cls,
-               std::int64_t bytes) {
-          TraceRecord r;
-          r.t_ps = at.ps();
-          r.node = node;
-          r.bytes = static_cast<std::uint32_t>(bytes);
-          r.port = port;
-          r.cls = cls;
-          r.kind = RecordKind::kQueueBytes;
-          record(r);
-        });
-  }
-  if (opts.dataplane) {
-    stats::append_hook(
-        t.dataplane,
-        [this](Time at, NodeId node, dataplane::DataplaneEvent ev,
-               ClassId cls, std::uint64_t detail) {
-          TraceRecord r;
-          r.t_ps = at.ps();
-          r.node = node;
-          r.bytes = static_cast<std::uint32_t>(detail);
-          r.port = kInvalidPort;
-          r.cls = cls;
-          r.kind = (ev == dataplane::DataplaneEvent::kRecovered ||
-                    ev == dataplane::DataplaneEvent::kRearmed)
-                       ? RecordKind::kDataplaneRecover
-                       : RecordKind::kDataplaneDetect;
-          r.reason = static_cast<std::uint8_t>(ev);
-          record(r);
-        });
-  }
-  if (opts.region_state) {
-    stats::append_hook(
-        t.region_state,
-        [this](Time at, std::uint32_t region, bool to_packet) {
-          TraceRecord r;
-          r.t_ps = at.ps();
-          r.node = region;
-          r.bytes = to_packet ? 1 : 0;
-          r.port = kInvalidPort;
-          r.kind = RecordKind::kRegionState;
-          record(r);
-        });
-  }
+  stats::append_hook(
+      t.pfc_state,
+      [this](Time at, NodeId node, PortId port, ClassId cls, bool paused) {
+        TraceRecord r;
+        r.t_ps = at.ps();
+        r.node = node;
+        r.port = port;
+        r.cls = cls;
+        r.kind = paused ? RecordKind::kPfcXoff : RecordKind::kPfcXon;
+        record(r);
+      });
+  stats::append_hook(
+      t.tx_start,
+      [this](Time at, const Packet& pkt, NodeId node, PortId port) {
+        TraceRecord r;
+        r.t_ps = at.ps();
+        r.node = node;
+        r.flow = pkt.flow;
+        r.bytes = pkt.size_bytes;
+        r.port = port;
+        r.cls = pkt.prio;
+        r.kind = RecordKind::kTxStart;
+        record(r);
+      });
+  stats::append_hook(t.delivered, [this](Time at, const Packet& pkt) {
+    TraceRecord r;
+    r.t_ps = at.ps();
+    r.node = pkt.dst;
+    r.flow = pkt.flow;
+    r.bytes = pkt.size_bytes;
+    r.port = kInvalidPort;
+    r.cls = pkt.prio;
+    r.kind = RecordKind::kDelivered;
+    record(r);
+  });
+  stats::append_hook(
+      t.dropped,
+      [this](Time at, const Packet& pkt, NodeId node, DropReason reason) {
+        TraceRecord r;
+        r.t_ps = at.ps();
+        r.node = node;
+        r.flow = pkt.flow;
+        r.bytes = pkt.size_bytes;
+        r.port = kInvalidPort;
+        r.cls = pkt.prio;
+        r.kind = RecordKind::kDropped;
+        r.reason = static_cast<std::uint8_t>(reason);
+        record(r);
+      });
+  stats::append_hook(t.cnp, [this](Time at, FlowId flow) {
+    TraceRecord r;
+    r.t_ps = at.ps();
+    r.flow = flow;
+    r.port = kInvalidPort;
+    r.kind = RecordKind::kCnp;
+    record(r);
+  });
+  stats::append_hook(
+      t.queue_bytes,
+      [this](Time at, NodeId node, PortId port, ClassId cls,
+             std::int64_t bytes) {
+        TraceRecord r;
+        r.t_ps = at.ps();
+        r.node = node;
+        r.bytes = static_cast<std::uint32_t>(bytes);
+        r.port = port;
+        r.cls = cls;
+        r.kind = RecordKind::kQueueBytes;
+        record(r);
+      });
+  stats::append_hook(
+      t.dataplane,
+      [this](Time at, NodeId node, dataplane::DataplaneEvent ev,
+             ClassId cls, std::uint64_t detail) {
+        TraceRecord r;
+        r.t_ps = at.ps();
+        r.node = node;
+        r.bytes = static_cast<std::uint32_t>(detail);
+        r.port = kInvalidPort;
+        r.cls = cls;
+        r.kind = (ev == dataplane::DataplaneEvent::kRecovered ||
+                  ev == dataplane::DataplaneEvent::kRearmed)
+                     ? RecordKind::kDataplaneRecover
+                     : RecordKind::kDataplaneDetect;
+        r.reason = static_cast<std::uint8_t>(ev);
+        record(r);
+      });
+  stats::append_hook(
+      t.region_state,
+      [this](Time at, std::uint32_t region, bool to_packet) {
+        TraceRecord r;
+        r.t_ps = at.ps();
+        r.node = region;
+        r.bytes = to_packet ? 1 : 0;
+        r.port = kInvalidPort;
+        r.kind = RecordKind::kRegionState;
+        record(r);
+      });
 }
 
 std::size_t FlightRecorder::size() const {

@@ -20,31 +20,19 @@ namespace dcdl::telemetry {
 
 class FlightRecorder {
  public:
-  /// Which Trace slots attach() subscribes to. kQueueBytes fires per packet
-  /// admission *and* departure, roughly doubling record volume — on by
-  /// default because occupancy is what makes a post-mortem readable, but
-  /// maskable for long windows of sparse events.
-  struct AttachOptions {
-    bool pfc = true;
-    bool tx_start = true;
-    bool delivered = true;
-    bool dropped = true;
-    bool cnp = true;
-    bool queue_bytes = true;
-    bool dataplane = true;     ///< in-switch detection/recovery milestones
-    bool region_state = true;  ///< hybrid engine zoom transitions
-  };
-
   /// Preallocates storage for `capacity` records (rounded up to a power of
   /// two so the ring index is a mask, not a division). Default 64Ki records
   /// = 2 MiB: ~a millisecond of a fully loaded four-switch run.
   explicit FlightRecorder(std::size_t capacity = 1u << 16);
 
-  /// Chains this recorder onto `net`'s trace hooks. May be called for
-  /// several networks (a multi-fabric setup shares one timeline). The
-  /// recorder must outlive the network's hook dispatches.
-  void attach(Network& net, const AttachOptions& opts);
-  void attach(Network& net) { attach(net, AttachOptions()); }
+  /// Chains this recorder onto every record-bearing slot of `net`'s trace
+  /// hooks: PFC, tx start, delivery, drop, CNP, queue bytes (per packet
+  /// admission *and* departure, roughly doubling record volume, because
+  /// occupancy is what makes a post-mortem readable), dataplane
+  /// milestones and hybrid zoom transitions. May be called for several
+  /// networks (a multi-fabric setup shares one timeline). The recorder
+  /// must outlive the network's hook dispatches.
+  void attach(Network& net);
 
   /// Hot path: O(1), allocation-free, overwrites the oldest record.
   void record(const TraceRecord& r) {

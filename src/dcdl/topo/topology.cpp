@@ -43,14 +43,6 @@ std::optional<PortId> Topology::port_towards(NodeId from, NodeId to) const {
   return std::nullopt;
 }
 
-std::vector<NodeId> Topology::switch_neighbors(NodeId id) const {
-  std::vector<NodeId> out;
-  for (const auto& pp : ports_.at(id)) {
-    if (is_switch(pp.peer_node)) out.push_back(pp.peer_node);
-  }
-  return out;
-}
-
 std::vector<NodeId> Topology::hosts() const {
   std::vector<NodeId> out;
   for (NodeId id = 0; id < nodes_.size(); ++id) {

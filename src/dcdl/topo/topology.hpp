@@ -72,9 +72,6 @@ class Topology {
   /// First port on `from` whose peer is `to`, if any.
   std::optional<PortId> port_towards(NodeId from, NodeId to) const;
 
-  /// All switch neighbours of a switch (skips hosts).
-  std::vector<NodeId> switch_neighbors(NodeId id) const;
-
   /// All host node ids / switch node ids.
   std::vector<NodeId> hosts() const;
   std::vector<NodeId> switches() const;

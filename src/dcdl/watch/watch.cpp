@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dcdl/analysis/deadlock.hpp"
-#include "dcdl/device/host.hpp"
 #include "dcdl/device/switch.hpp"
 #include "dcdl/stats/hooks.hpp"
 
@@ -29,6 +28,11 @@ std::vector<std::string> signal_registry() {
           "pause_age_us", "wedge_queues", "risk_max",     "risk_reachable"};
 }
 
+/// Risk signals are re-assessed every this many ticks.
+constexpr std::uint64_t kRiskEvery = 10;
+/// Trailing window (ticks) of the queue_growth slope.
+constexpr std::size_t kSlopeWindow = 8;
+
 std::uint64_t queue_key(NodeId node, PortId port, ClassId cls) {
   return (static_cast<std::uint64_t>(node) << 24) |
          (static_cast<std::uint64_t>(port) << 8) |
@@ -44,8 +48,7 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
   values_.assign(names_.size(), 0.0);
   max_.assign(names_.size(), 0.0);
   if (opts_.rules.empty()) opts_.rules = default_rules();
-  engine_ = std::make_unique<RuleEngine>(opts_.rules, names_,
-                                         opts_.max_events);
+  engine_ = std::make_unique<RuleEngine>(opts_.rules, names_);
   if (opts_.on_event) engine_->set_on_event(opts_.on_event);
 
   const Topology& topo = net_.topo();
@@ -55,11 +58,7 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
         static_cast<std::int64_t>(net_.switch_at(sw).num_ports()) *
         net_.config().num_classes;
   }
-  if (opts_.slope_window < 2) opts_.slope_window = 2;
-  slope_ring_.assign(static_cast<std::size_t>(opts_.slope_window),
-                     {Time::zero(), 0.0});
-
-  if (opts_.risk_every > 0) prev_sent_.assign(flows_.size(), 0);
+  slope_ring_.assign(kSlopeWindow, {Time::zero(), 0.0});
 
   // Open-pause bookkeeping rides the pfc_state hook — chained, so it
   // coexists with the probe's and the pause log's observers. It fires on
@@ -83,10 +82,7 @@ RunWatch::RunWatch(Network& net, std::vector<FlowSpec> flows,
 
 void RunWatch::start(Simulator& sim, Time until) {
   start_ = sim.now();
-  prev_measure_at_ = start_;
-  for (std::size_t i = 0; i < prev_sent_.size(); ++i) {
-    prev_sent_[i] = net_.host_at(flows_[i].src_host).sent_bytes(flows_[i].id);
-  }
+  sent_rates_.reset(net_, flows_, start_);
   // Pre-fill the slope ring with the starting occupancy so early slopes
   // measure growth from the attach instant, not from zero.
   const double q0 = static_cast<double>(net_.total_queued_bytes());
@@ -139,23 +135,14 @@ void RunWatch::tick(Time t) {
   values_[kWedgeQueues] =
       snap.has_cycle ? static_cast<double>(snap.cycle.size()) : 0.0;
 
-  if (!prev_sent_.empty() &&
-      ticks_ % static_cast<std::uint64_t>(opts_.risk_every) == 0) {
+  if (!flows_.empty() && ticks_ % kRiskEvery == 0) {
     // Measured per-flow rates from the hosts' cumulative sent counters —
     // the same barrier-time state-read pattern as the probe's utilization.
-    std::vector<Rate> measured(flows_.size(), Rate::zero());
-    const Time elapsed = t - prev_measure_at_;
+    sent_rates_.close_window(t);
+    std::vector<Rate> measured(flows_.size());
     for (std::size_t i = 0; i < flows_.size(); ++i) {
-      const std::int64_t sent =
-          net_.host_at(flows_[i].src_host).sent_bytes(flows_[i].id);
-      if (elapsed > Time::zero()) {
-        const double bps = static_cast<double>(sent - prev_sent_[i]) * 8.0 *
-                           1e12 / static_cast<double>(elapsed.ps());
-        measured[i] = Rate{static_cast<std::int64_t>(bps)};
-      }
-      prev_sent_[i] = sent;
+      measured[i] = sent_rates_.rate(net_, flows_[i], i);
     }
-    prev_measure_at_ = t;
     const analysis::RiskReport report =
         analysis::assess_deadlock_risk(net_, flows_, measured);
     risk_max_latched_ = report.max_risk;

@@ -18,8 +18,8 @@
 // dcdl.alerts.v1 layout):
 //
 //   queue_bytes     aggregate buffered bytes across the fabric
-//   queue_growth    aggregate queue growth in bytes per millisecond over a
-//                   trailing window (the cascade's fuel accumulating)
+//   queue_growth    aggregate queue growth in bytes per millisecond over
+//                   the trailing 8 ticks (the cascade's fuel accumulating)
 //   pause_frac      open Xoff spans / total switch ingress (port, class)
 //                   queues — the network-wide pause-pressure score
 //   sw_pause_max    open Xoff spans on the single worst switch
@@ -27,14 +27,16 @@
 //   wedge_queues    queues in the instantaneous wait-for cycle
 //                   (analysis::snapshot_wait_for; 0 = no cycle)
 //   risk_max        analysis::assess_deadlock_risk's max_risk, re-assessed
-//                   with measured flow rates every `risk_every` ticks
-//                   (latched between)
+//                   every 10th tick with the flow rates an
+//                   analysis::SentRateMeter measures (latched between)
 //   risk_reachable  1 when that assessment's slack-link rule says some
 //                   dependency cycle is lockable at the measured rates
 //
 // Hot-spot attribution: each tick identifies the "hot node" — the head of
 // the wait-for cycle when one exists, else the switch holding the most
 // open pause spans (ties to the lowest id) — and stamps it on alert edges.
+// The rule engine keeps its default bound on retained alert edges and
+// counts the rest.
 #pragma once
 
 #include <cstdint>
@@ -61,16 +63,9 @@ struct WatchOptions {
   /// Sampling cadence; ticks fire at start + k * interval. A campaign run
   /// (campaign::execute_run) overrides it with
   /// ExecutorOptions::probe_interval, so probe and watch share one clock.
-  Time interval = Time{100'000'000};  // 100 us
-  /// Re-assess deadlock risk (assess_deadlock_risk over measured rates)
-  /// every this many ticks; 0 disables the risk signals (they stay 0).
-  int risk_every = 10;
-  /// Trailing window (ticks) for the queue_growth slope.
-  int slope_window = 8;
+  Time interval = probe::kSampleInterval;
   /// Alert rules; empty = default_rules().
   std::vector<AlertRule> rules;
-  /// Retained alert edges (overflow counted, not stored).
-  std::size_t max_events = 4096;
   /// Live observers, for status lines and log streaming. on_tick fires
   /// after every sample (signals and rule states updated); on_event fires
   /// at every emitted alert edge. Both run on the thread driving the run,
@@ -96,8 +91,6 @@ class RunWatch {
   const std::vector<std::string>& signal_names() const { return names_; }
   /// Last sampled values, indexed like signal_names().
   const std::vector<double>& signal_values() const { return values_; }
-  /// Running per-signal maxima over the whole run.
-  const std::vector<double>& signal_max() const { return max_; }
   const RuleEngine& engine() const { return *engine_; }
 
   Time interval() const { return opts_.interval; }
@@ -141,10 +134,8 @@ class RunWatch {
   std::vector<std::pair<Time, double>> slope_ring_;
   std::size_t slope_next_ = 0;
 
-  // Risk re-assessment state: per-flow sent bytes at the last assessment
-  // (empty when the risk signals are off).
-  std::vector<std::int64_t> prev_sent_;
-  Time prev_measure_at_ = Time::zero();
+  // Risk re-assessment state: the measured rates' baseline.
+  analysis::SentRateMeter sent_rates_;
   double risk_max_latched_ = 0;
   double risk_reachable_latched_ = 0;
 };

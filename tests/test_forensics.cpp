@@ -430,8 +430,8 @@ TEST(TraceIoTest, MalformedInputThrowsWithLineNumbers) {
   EXPECT_THROW(load_jsonl_file("/nonexistent/trace.jsonl"),
                std::runtime_error);
   // Topology-less dumps parse but cannot feed the causal analysis.
-  const std::string bare = telemetry::to_jsonl({});
-  const LoadedTrace trace = parse_jsonl(bare);
+  const LoadedTrace trace =
+      parse_jsonl("{\"schema\":\"dcdl.telemetry.v1\",\"record_count\":0}\n");
   EXPECT_FALSE(trace.has_topology);
   EXPECT_THROW(input_from_trace(trace), std::runtime_error);
   // A topology header whose links Topology::add_link would reject (an

@@ -209,6 +209,37 @@ TEST(RunProbeTest, SummaryIsDeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(RunProbeTest, PerChannelUtilizationSeriesStopAbove128Channels) {
+  // A one-switch star of n hosts has 2n directed channels: 64 hosts get a
+  // util.<node>:<port> series per channel besides util.max, 65 hosts get
+  // util.max only.
+  const auto util_series = [](int hosts) {
+    Simulator sim;
+    Topology t;
+    const NodeId sw = t.add_switch("s");
+    for (int h = 0; h < hosts; ++h) {
+      t.add_link(sw, t.add_host("h" + std::to_string(h)), Rate::gbps(40),
+                 1_us);
+    }
+    Network net(sim, t, NetConfig{});
+    RunProbe rp(net);
+    std::vector<std::string> names;
+    for (std::uint32_t id = 0; id < rp.series().num_series(); ++id) {
+      const std::string& name = rp.series().name(id);
+      if (name.rfind("util.", 0) == 0) names.push_back(name);
+    }
+    return names;
+  };
+  const std::vector<std::string> at_cap = util_series(64);
+  ASSERT_EQ(at_cap.size(), 129u);
+  EXPECT_EQ(at_cap[0], "util.max");
+  EXPECT_EQ(at_cap[1], "util.s:0");
+  EXPECT_EQ(at_cap[64], "util.s:63");
+  EXPECT_EQ(at_cap[65], "util.h0:0");
+  EXPECT_EQ(at_cap[128], "util.h63:0");
+  EXPECT_EQ(util_series(65), std::vector<std::string>{"util.max"});
+}
+
 // ------------------------------------------------- artifact identity class
 
 std::string timeseries_for_shards(int shards) {

@@ -100,31 +100,6 @@ TEST(FlightRecorderTest, ClearResets) {
   EXPECT_TRUE(rec.snapshot().empty());
 }
 
-TEST(FlightRecorderTest, AttachOptionsMaskCategories) {
-  // Same deterministic run twice: a recorder masked to PFC-only must see
-  // strictly fewer records, and only pause kinds.
-  for (const bool pfc_only : {false, true}) {
-    RoutingLoopParams p;
-    p.inject = Rate::gbps(7);  // above the Eq. 3 boundary: plenty of PFC
-    Scenario s = make_routing_loop(p);
-    FlightRecorder rec(1u << 14);
-    FlightRecorder::AttachOptions opts;
-    if (pfc_only) {
-      opts.tx_start = opts.delivered = opts.dropped = false;
-      opts.cnp = opts.queue_bytes = false;
-    }
-    rec.attach(*s.net, opts);
-    s.sim->run_until(2_ms);
-    ASSERT_GT(rec.total_recorded(), 0u);
-    if (pfc_only) {
-      for (const TraceRecord& r : rec.snapshot()) {
-        EXPECT_TRUE(r.kind == RecordKind::kPfcXoff ||
-                    r.kind == RecordKind::kPfcXon);
-      }
-    }
-  }
-}
-
 // --------------------------------------------------------------- metrics
 
 /// The value recorded under `name` in a flat snapshot; NaN when absent.
@@ -320,36 +295,19 @@ TEST(PerfettoExportTest, DropAndResumeInstantsAreEmittedAndDeterministic) {
   EXPECT_EQ(bare.find("\"pfc resume\""), std::string::npos);
 }
 
-TEST(JsonlExportTest, TopologyHeaderIsAdditive) {
-  // The topology-bearing overload embeds nodes+links in the header line;
-  // the record lines are identical to the bare format.
-  RoutingLoopParams p;
-  p.inject = Rate::gbps(7);
-  Scenario s = make_routing_loop(p);
-  FlightRecorder rec;
-  const auto records = fig2_records(s, rec);
-  const std::string bare = to_jsonl(records);
-  const std::string with_topo = to_jsonl(*s.topo, records);
-
-  const std::string header = with_topo.substr(0, with_topo.find('\n'));
-  EXPECT_NE(header.find("\"topology\":{"), std::string::npos);
-  EXPECT_NE(header.find("\"links\":["), std::string::npos);
-  EXPECT_EQ(bare.substr(bare.find('\n')),
-            with_topo.substr(with_topo.find('\n')))
-      << "record lines must not change when the header grows";
-}
-
 TEST(JsonlExportTest, HeaderAndRecordCount) {
   RoutingLoopParams p;
   p.inject = Rate::gbps(7);
   Scenario s = make_routing_loop(p);
   FlightRecorder rec;
   const auto records = fig2_records(s, rec);
-  const std::string jsonl = to_jsonl(records);
+  const std::string jsonl = to_jsonl(*s.topo, records);
 
   const std::string header = jsonl.substr(0, jsonl.find('\n'));
   EXPECT_NE(header.find("\"schema\":\"dcdl.telemetry.v1\""),
             std::string::npos);
+  EXPECT_NE(header.find("\"topology\":{"), std::string::npos);
+  EXPECT_NE(header.find("\"links\":["), std::string::npos);
   EXPECT_NE(header.find("\"record_count\":" +
                         std::to_string(records.size())),
             std::string::npos);
@@ -370,7 +328,7 @@ TEST(PostMortemTest, ConfirmedDeadlockDumpNamesCycleAndPauseEvents) {
   analysis::DeadlockMonitor monitor(*s.net, Time{50'000'000}, 1_ms);
   std::string dump;
   monitor.set_on_confirmed([&](const analysis::DeadlockMonitor& m) {
-    dump = post_mortem_jsonl(rec, m.cycle(), *m.detected_at(), 1024);
+    dump = post_mortem_jsonl(*s.topo, rec, m.cycle(), *m.detected_at(), 1024);
   });
   monitor.start(Time::zero(), 20_ms);
   s.sim->run_until(20_ms);
