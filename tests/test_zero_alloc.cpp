@@ -211,6 +211,57 @@ TEST(ZeroAlloc, EventChurnSteadyStateAllocatesNothing) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST(ZeroAlloc, QueueOverflowAndTiesAllocateNothing) {
+  // The queue's other paths under churn: timers beyond the wheel's ~4.2 us
+  // span wait in the overflow heap and migrate into the wheel as it
+  // advances, and same-timestamp ties — unkeyed and keyed — are inserted
+  // into the current run in order.
+  Simulator sim;
+  struct Churn {
+    Simulator& sim;
+    std::uint64_t fired = 0;
+    std::uint64_t ties = 0;
+    std::uint64_t seq = 0;
+    void near() {
+      ++fired;
+      sim.schedule_in(1_ns, [this] { near(); });
+    }
+    void far() {
+      ++fired;
+      sim.schedule_in(10_us, [this] { far(); });
+    }
+    void burst() {
+      ++fired;
+      for (int i = 0; i < 3; ++i) {
+        sim.schedule_in(Time::zero(), [this] { ++ties; });
+        sim.schedule_keyed(sim.now(), 1 + static_cast<std::uint64_t>(i),
+                           ++seq, [this] { ++ties; });
+      }
+      sim.schedule_in(1_ns, [this] { burst(); });
+    }
+  } churn{sim};
+  for (int i = 0; i < 16; ++i) {
+    sim.schedule_in(1_ns, [&churn] { churn.near(); });
+  }
+  for (int i = 0; i < 64; ++i) {
+    sim.schedule_in(Time{1'000 + i * 156'250}, [&churn] { churn.far(); });
+  }
+  sim.schedule_in(1_ns, [&churn] { churn.burst(); });
+  sim.run_until(25_us);  // warm-up: two far periods reach every high water
+
+  const std::uint64_t fired_before = churn.fired;
+  const std::uint64_t ties_before = churn.ties;
+  const std::uint64_t allocs_before =
+      g_allocs.load(std::memory_order_relaxed);
+  sim.run_until(45_us);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs_before;
+
+  ASSERT_GE(churn.fired - fired_before, 300'000u);
+  ASSERT_GE(churn.ties - ties_before, 100'000u);
+  EXPECT_EQ(allocs, 0u);
+}
+
 /// Counts the heap allocations and pause/resume toggles of the first
 /// `steps` steps after begin().
 struct FluidWindow {
