@@ -103,7 +103,7 @@ void ShardedEngine::post_across(std::uint32_t dst_shard, Time at,
 void ShardedEngine::drain_mailboxes() {
   probe::Profiler::Scope span(probe::Profiler::Span::kMailboxes);
   // Fixed (src, dst, FIFO) order. Delivery order does not affect execution
-  // order (events fire by key), but keeping it fixed means the slab/heap
+  // order (events fire by key), but keeping it fixed means the slab/queue
   // layouts — and hence allocation behaviour — are deterministic too.
   const std::size_t k = shards_.size();
   for (std::size_t src = 0; src < k; ++src) {

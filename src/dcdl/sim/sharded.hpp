@@ -19,7 +19,7 @@
 // cascade can never outrun the window either.
 //
 // Every event carries a canonical (time, channel, sequence) key assigned by
-// the sender, and each shard's heap fires in key order. The observable
+// the sender, and each shard's queue fires in key order. The observable
 // stream is therefore the key-sorted event sequence — a pure function of
 // the scenario, byte-identical for every shard count.
 //
